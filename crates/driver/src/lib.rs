@@ -33,6 +33,14 @@
 //! Every stage accumulates into one [`Diagnostics`] collection; no
 //! stage aborts the pipeline, so a single call reports parse errors,
 //! type errors, and unresolved constraints together.
+//!
+//! Every stage runs through one stage runner, keyed by
+//! [`tc_trace::Stage`], which owns the stage boundary: the deadline
+//! check (one `E0430`, after which later stages are skipped), the
+//! flight-recorder stage events, the fault site ([`resilience`]), and
+//! the telemetry span. With [`Options::trace_timing`] on, the stage
+//! spans land in [`Check::telemetry`] and one span per top-level
+//! resolution goal in [`Check::goal_spans`], on the same epoch.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic))]
@@ -40,8 +48,8 @@
 
 pub mod resilience;
 
-use resilience::{FaultOutcome, FaultSite, Faults};
-use tc_classes::{build_class_env, ClassEnv, ReduceBudget};
+use resilience::{FaultOutcome, Faults};
+use tc_classes::{build_class_env, ReduceBudget};
 use tc_coherence::{CoherenceInput, LawInput, LawOptions};
 use tc_core::{elaborate_with, ElabOptions, Elaboration};
 use tc_coreir::ShareStats;
@@ -113,8 +121,10 @@ pub struct Options {
     /// the shared program). On by default.
     pub share_dictionaries: bool,
     /// Record per-stage wall-clock spans and pipeline counters in
-    /// [`Check::telemetry`]. Off by default; when off, the telemetry
-    /// handle allocates nothing.
+    /// [`Check::telemetry`], plus one span per top-level resolution
+    /// goal in [`Check::goal_spans`] on the same epoch (for the Chrome
+    /// trace export, [`Check::chrome_trace_json`]). Off by default;
+    /// when off, neither allocates anything.
     pub trace_timing: bool,
     /// Record an explain-trace of every instance resolution in
     /// [`Elaboration::resolution_trace`] (rendered by
@@ -131,12 +141,6 @@ pub struct Options {
     /// [`PipelineStats::metrics`]. Off by default; when off, every
     /// instrumented path is a single branch and allocates nothing.
     pub collect_metrics: bool,
-    /// Record one wall-clock span per top-level resolution goal (for
-    /// the Chrome trace export, [`Check::chrome_trace_json`]). Off by
-    /// default and allocation-free when off. Goal spans share the
-    /// telemetry epoch, so enable [`Options::trace_timing`] too if the
-    /// spans should nest inside the stage spans.
-    pub trace_goal_spans: bool,
     /// Cooperative cancellation token (usually deadline-backed, from
     /// the serve layer). Checked at stage boundaries, inside the
     /// resolver's search loop, and inside the evaluator's fuel loop;
@@ -177,7 +181,6 @@ impl Default for Options {
             trace_resolution: false,
             profile_eval: false,
             collect_metrics: false,
-            trace_goal_spans: false,
             cancel: None,
             cache_capacity: None,
             faults: Faults::none(),
@@ -295,7 +298,7 @@ pub struct Check {
     pub telemetry: Telemetry,
     /// One wall-clock span per top-level resolution goal, on the same
     /// epoch as the telemetry stage spans; empty unless
-    /// [`Options::trace_goal_spans`] was set.
+    /// [`Options::trace_timing`] was set.
     pub goal_spans: Vec<SpanEvent>,
 }
 
@@ -327,9 +330,8 @@ impl Check {
     /// loadable in Perfetto / `chrome://tracing` — with one complete
     /// (`"ph":"X"`) event per pipeline stage span and one per
     /// top-level resolution goal. Meaningful when
-    /// [`Options::trace_timing`] was set (and
-    /// [`Options::trace_goal_spans`] for the per-goal events); always
-    /// a valid document, possibly with an empty event list.
+    /// [`Options::trace_timing`] was set; always a valid document,
+    /// possibly with an empty event list.
     pub fn chrome_trace_json(&self) -> String {
         tc_trace::chrome_trace_json(&self.telemetry, &self.goal_spans)
     }
@@ -415,17 +417,7 @@ impl RunResult {
         if let Outcome::Eval(e) = &self.outcome {
             w.field_str("code", e.code());
             match e.budget() {
-                Some(b) => {
-                    w.begin_object_field("budget");
-                    match &b.binding {
-                        Some(name) => w.field_str("binding", name),
-                        None => w.field_null("binding"),
-                    }
-                    w.field_u64("fuel_left", b.fuel_left);
-                    w.field_u64("allocs_left", b.allocs_left);
-                    w.field_u64("depth", b.depth as u64);
-                    w.end_object();
-                }
+                Some(b) => b.write_json_field(&mut w),
                 None => w.field_null("budget"),
             }
         }
@@ -435,103 +427,166 @@ impl RunResult {
     }
 }
 
-/// Stage-boundary cancellation check. The first tripped check emits
-/// one `E0430` diagnostic, records a `Cancelled` event naming the
-/// stage that was about to run, and latches `cancelled`, so later
-/// boundaries skip their stages silently instead of piling on
-/// duplicate errors.
-fn deadline_tripped(
-    opts: &Options,
-    diags: &mut Diagnostics,
-    cancelled: &mut bool,
-    next_stage: TraceStage,
-) -> bool {
-    if *cancelled {
-        return true;
+/// The stage runner (see the module docs), so that [`compile`] and
+/// [`run_checked`] are plain lists of stage bodies. Each body gets the
+/// run's diagnostics and the fault outcome (`Budget` asks it to run
+/// with an exhausted budget); the runner counts the diagnostics it
+/// adds for the span and the `stage-end` event.
+struct Stages<'a> {
+    opts: &'a Options,
+    telemetry: &'a mut Telemetry,
+    diags: &'a mut Diagnostics,
+    /// Latched by the first tripped deadline check, so later
+    /// boundaries skip their stages silently instead of piling on
+    /// duplicate `E0430`s.
+    cancelled: bool,
+}
+
+/// How a stage reports itself.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Report {
+    /// Stage events, the fault site, and a span when the stage runs.
+    Full,
+    /// `Full`, plus an empty span when the stage is skipped, so the
+    /// span sequence is the same across configs (share).
+    AlwaysTimed,
+    /// A span only: an extra pass timed under an earlier stage, with
+    /// no stage events and no fault site (the law harness, timed under
+    /// `coherence`).
+    SpanOnly,
+}
+
+impl<'a> Stages<'a> {
+    fn new(opts: &'a Options, telemetry: &'a mut Telemetry, diags: &'a mut Diagnostics) -> Self {
+        Stages {
+            opts,
+            telemetry,
+            diags,
+            cancelled: false,
+        }
     }
-    if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-        *cancelled = true;
-        opts.events.cancelled(next_stage);
-        diags.error(
-            DiagStage::Driver,
-            CANCELLED_CODE,
-            "compilation deadline exceeded; remaining stages skipped",
-            Span::DUMMY,
-        );
-        return true;
+
+    /// Run a stage if `on` and the deadline has not tripped; a skipped
+    /// stage leaves a default (empty) result.
+    fn checked<T: Default>(
+        &mut self,
+        stage: TraceStage,
+        on: bool,
+        report: Report,
+        body: impl FnOnce(&mut Diagnostics, FaultOutcome) -> T,
+    ) -> T {
+        if on && !self.tripped(stage) {
+            return self.run(stage, report, body);
+        }
+        if report == Report::AlwaysTimed {
+            let timer = self.telemetry.start();
+            self.telemetry.record(stage, timer, 0);
+        }
+        T::default()
     }
-    false
+
+    /// Run a stage unconditionally, with no deadline check in front.
+    fn run<T>(
+        &mut self,
+        stage: TraceStage,
+        report: Report,
+        body: impl FnOnce(&mut Diagnostics, FaultOutcome) -> T,
+    ) -> T {
+        let events = &self.opts.events;
+        let timer = self.telemetry.start();
+        let seen = self.diags.len();
+        let fault = if report == Report::SpanOnly {
+            FaultOutcome::None
+        } else {
+            events.stage_start(stage);
+            self.opts.faults.fire_traced(stage, events)
+        };
+        let out = body(self.diags, fault);
+        let produced = (self.diags.len() - seen) as u64;
+        self.telemetry.record(stage, timer, produced);
+        if report != Report::SpanOnly {
+            events.stage_end(stage, produced);
+        }
+        out
+    }
+
+    /// The deadline check in front of `next`. The first tripped check
+    /// emits one `E0430`, records a `cancelled` event naming `next`,
+    /// and latches.
+    fn tripped(&mut self, next: TraceStage) -> bool {
+        if !self.cancelled && self.opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            self.cancelled = true;
+            self.opts.events.cancelled(next);
+            self.diags.error(
+                DiagStage::Driver,
+                CANCELLED_CODE,
+                "compilation deadline exceeded; remaining stages skipped",
+                Span::DUMMY,
+            );
+        }
+        self.cancelled
+    }
+
+    /// The final boundary: a deadline that expired during the last
+    /// stage still surfaces as `E0430`, attributed to `eval`.
+    fn finish(mut self) {
+        self.tripped(TraceStage::Eval);
+    }
 }
 
 /// Shared pipeline body behind [`check_source`] and [`lint_source`].
+/// Every deadline-checked stage doubles as a cancellation point: a
+/// deadline that expires mid-pipeline stops the run at the next
+/// boundary, and the skipped stages leave default (empty) results.
+/// Fault sites sit at stage entry, so an injected panic unwinds out of
+/// this function exactly where a real stage bug would.
 fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     let mut telemetry = if opts.trace_timing {
         Telemetry::new()
     } else {
         Telemetry::off()
     };
-    let (full_source, user_offset) = if opts.use_prelude {
-        (format!("{PRELUDE}\n{src}"), PRELUDE.len() + 1)
-    } else {
-        (src.to_string(), 0)
-    };
-
-    let timer = telemetry.start();
-    opts.events.stage_start(TraceStage::Lex);
-    let (toks, mut diags) = tc_syntax::lex(&full_source);
-    telemetry.record(TraceStage::Lex, timer, diags.len() as u64);
-    opts.events.stage_end(TraceStage::Lex, diags.len() as u64);
-    let mut seen = diags.len();
-
     let mut metrics = if opts.collect_metrics {
         MetricsRegistry::new()
     } else {
         MetricsRegistry::off()
     };
-
-    // Every stage boundary below doubles as a cancellation point: a
-    // deadline that expires mid-pipeline stops the run at the next
-    // boundary with one `E0430` diagnostic, and the skipped stages
-    // leave default (empty) results. Fault sites sit at stage entry,
-    // so an injected panic unwinds out of this function exactly where
-    // a real stage bug would.
-    let mut cancelled = false;
-
-    let timer = telemetry.start();
-    opts.events.stage_start(TraceStage::Parse);
-    let _ = opts.faults.fire_traced(FaultSite::Parse, &opts.events);
-    let (prog, pd, pstats) = tc_syntax::parse_program_with(&toks, opts.parse.clone());
-    diags.extend(pd);
-    telemetry.record(TraceStage::Parse, timer, (diags.len() - seen) as u64);
-    opts.events
-        .stage_end(TraceStage::Parse, (diags.len() - seen) as u64);
-    metrics.add(CounterId::ParseRecoveries, pstats.recoveries);
-    seen = diags.len();
-
-    let mut gen = VarGen::new();
-    let cenv = if deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::ClassEnv) {
-        ClassEnv::default()
+    let (full_source, user_offset) = if opts.use_prelude {
+        (format!("{PRELUDE}\n{src}"), PRELUDE.len() + 1)
     } else {
-        let timer = telemetry.start();
-        opts.events.stage_start(TraceStage::ClassEnv);
-        let _ = opts.faults.fire_traced(FaultSite::ClassEnv, &opts.events);
-        let (cenv, cd) = build_class_env(&prog, &mut gen);
-        diags.extend(cd);
-        telemetry.record(TraceStage::ClassEnv, timer, (diags.len() - seen) as u64);
-        opts.events
-            .stage_end(TraceStage::ClassEnv, (diags.len() - seen) as u64);
-        seen = diags.len();
-        cenv
+        (src.to_string(), 0)
     };
+    // Goal spans share the telemetry epoch so they nest inside the
+    // `elaborate` stage span; with timing off there are none.
+    let goal_span_epoch = telemetry.epoch();
+    let mut diags = Diagnostics::new();
+    let mut gen = VarGen::new();
+    let mut stages = Stages::new(opts, &mut telemetry, &mut diags);
+
+    let toks = stages.run(TraceStage::Lex, Report::Full, |d, _| {
+        let (toks, ld) = tc_syntax::lex(&full_source);
+        d.extend(ld);
+        toks
+    });
+
+    let (prog, pstats) = stages.run(TraceStage::Parse, Report::Full, |d, _| {
+        let (prog, pd, pstats) = tc_syntax::parse_program_with(&toks, opts.parse.clone());
+        d.extend(pd);
+        (prog, pstats)
+    });
+    metrics.add(CounterId::ParseRecoveries, pstats.recoveries);
+
+    let cenv = stages.checked(TraceStage::ClassEnv, true, Report::Full, |d, _| {
+        let (cenv, cd) = build_class_env(&prog, &mut gen);
+        d.extend(cd);
+        cenv
+    });
 
     // Coherence runs between the class env and elaboration: overlap
     // and cycle findings only need instance heads, so they stay
-    // available even when a tripped deadline skips elaboration. No
-    // fault site here — the pass is pure table-walking over the env.
-    if !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Coherence) {
-        let timer = telemetry.start();
-        opts.events.stage_start(TraceStage::Coherence);
-        diags.extend(tc_coherence::check_coherence(
+    // available even when a tripped deadline skips elaboration.
+    stages.checked(TraceStage::Coherence, true, Report::Full, |d, _| {
+        d.extend(tc_coherence::check_coherence(
             &CoherenceInput {
                 cenv: &cenv,
                 user_start: user_offset,
@@ -539,77 +594,51 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             &opts.coherence_levels,
             &mut metrics,
         ));
-        telemetry.record(TraceStage::Coherence, timer, (diags.len() - seen) as u64);
-        opts.events
-            .stage_end(TraceStage::Coherence, (diags.len() - seen) as u64);
-        seen = diags.len();
-    }
+    });
 
-    let mut elab = if deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Elaborate) {
-        Elaboration::default()
-    } else {
-        let timer = telemetry.start();
-        opts.events.stage_start(TraceStage::Elaborate);
-        let mut reduce = opts.reduce;
-        if opts.faults.fire_traced(FaultSite::Elaborate, &opts.events) == FaultOutcome::Budget {
-            // Injected budget exhaustion: every nontrivial resolution
-            // goal now fails structurally (E0421), never hangs.
-            reduce = ReduceBudget {
+    let mut elab = stages.checked(TraceStage::Elaborate, true, Report::Full, |d, fault| {
+        let budget = if fault == FaultOutcome::Budget {
+            // Injected budget exhaustion: every nontrivial
+            // resolution goal now fails structurally (E0421),
+            // never hangs.
+            ReduceBudget {
                 max_depth: 1,
                 max_steps: 1,
-            };
-        }
+            }
+        } else {
+            opts.reduce
+        };
         let (elab, ed) = elaborate_with(
             &prog,
             &cenv,
             &mut gen,
             ElabOptions {
-                budget: reduce,
+                budget,
                 memoize: opts.memoize_resolution,
                 trace_resolution: opts.trace_resolution,
                 collect_metrics: opts.collect_metrics,
-                // Goal spans share the telemetry epoch so they nest inside
-                // the `elaborate` stage span; with timing off they get
-                // their own epoch and still order correctly.
-                goal_span_epoch: opts
-                    .trace_goal_spans
-                    .then(|| telemetry.epoch().unwrap_or_else(std::time::Instant::now)),
+                goal_span_epoch,
                 cancel: opts.cancel.clone(),
                 cache_capacity: opts.cache_capacity,
                 events: opts.events.clone(),
             },
         );
-        diags.extend(ed);
-        telemetry.record(TraceStage::Elaborate, timer, (diags.len() - seen) as u64);
-        opts.events
-            .stage_end(TraceStage::Elaborate, (diags.len() - seen) as u64);
-        seen = diags.len();
+        d.extend(ed);
         elab
-    };
+    });
 
     // Dictionary sharing runs between conversion and linting: `L0007`
     // must see the shared program, or it would report constructions
-    // the pass has already hoisted. The span is recorded even with
-    // sharing off, so the stage sequence is stable across configs.
-    let timer = telemetry.start();
-    let share = if opts.share_dictionaries
-        && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Share)
-    {
-        opts.events.stage_start(TraceStage::Share);
-        let _ = opts.faults.fire_traced(FaultSite::Share, &opts.events);
-        let share = tc_coreir::share_program_metered(&mut elab.core, &mut metrics);
-        opts.events.stage_end(TraceStage::Share, 0);
-        share
-    } else {
-        ShareStats::default()
-    };
-    telemetry.record(TraceStage::Share, timer, 0);
+    // the pass has already hoisted.
+    let share = stages.checked(
+        TraceStage::Share,
+        opts.share_dictionaries,
+        Report::AlwaysTimed,
+        |_, _| tc_coreir::share_program_metered(&mut elab.core, &mut metrics),
+    );
 
-    if lint && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Lint) {
-        let timer = telemetry.start();
-        opts.events.stage_start(TraceStage::Lint);
-        let _ = opts.faults.fire_traced(FaultSite::Lint, &opts.events);
-        diags.extend(tc_lint::run_lints(
+    stages.checked(TraceStage::Lint, lint, Report::Full, |d, _| {
+        d.extend(tc_lint::run_lints(
             &LintInput {
                 program: &prog,
                 cenv: &cenv,
@@ -618,24 +647,17 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             },
             &opts.lint_levels,
         ));
-        telemetry.record(TraceStage::Lint, timer, (diags.len() - seen) as u64);
-        opts.events
-            .stage_end(TraceStage::Lint, (diags.len() - seen) as u64);
-    }
+    });
 
     // The law harness runs last among the static passes: it needs the
-    // elaboration's warm resolve cache (seeded below, so law goals
-    // resolve in O(1)) and only makes sense for programs that compile
-    // — law verdicts on an erroneous program would blame dictionaries
-    // that were never built. Its findings land under the same
-    // `Coherence` stage as the structural checks.
-    if opts.check_laws
-        && !diags.has_errors()
-        && !deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Coherence)
-    {
-        let before = diags.len();
-        let timer = telemetry.start();
-        diags.extend(tc_coherence::check_laws(
+    // elaboration's warm resolve cache (so law goals resolve in O(1))
+    // and only makes sense for programs that compile — law verdicts
+    // on an erroneous program would blame dictionaries that were never
+    // built. Its findings land under the same `Coherence` stage as the
+    // structural checks.
+    let laws = opts.check_laws && !stages.diags.has_errors();
+    stages.checked(TraceStage::Coherence, laws, Report::SpanOnly, |d, _| {
+        d.extend(tc_coherence::check_laws(
             &LawInput {
                 program: &prog,
                 cenv: &cenv,
@@ -652,12 +674,8 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
             &mut gen,
             &mut metrics,
         ));
-        telemetry.record(TraceStage::Coherence, timer, (diags.len() - before) as u64);
-    }
-
-    // Final boundary: a deadline that expired during the last stage
-    // still surfaces as E0430 (there is no later boundary to catch it).
-    let _ = deadline_tripped(opts, &mut diags, &mut cancelled, TraceStage::Eval);
+    });
+    stages.finish();
 
     if telemetry.is_enabled() {
         telemetry.counter("core_bindings", elab.core.binds.len() as u64);
@@ -708,67 +726,71 @@ pub fn lint_source(src: &str, opts: &Options) -> Check {
 /// timed into the check's telemetry, and its resource counters land
 /// in [`PipelineStats::eval`].
 pub fn run_checked(mut check: Check, opts: &Options) -> RunResult {
-    let mut profile = None;
-    let outcome = if !check.ok() {
-        Outcome::CompileErrors
-    } else {
-        match check.elab.core.main.clone() {
-            None => Outcome::NoMain,
-            Some(entry) => {
-                let timer = check.telemetry.start();
-                opts.events.stage_start(TraceStage::Eval);
-                // Metrics want the per-binding fuel histogram, which
-                // only the profiler collects — profile internally when
-                // metrics are on, but surface the profile to the
-                // caller only when they asked for it.
-                let metrics_on = check.stats.metrics.is_enabled();
-                let mut budget = opts.budget;
-                if opts.faults.fire_traced(FaultSite::Eval, &opts.events) == FaultOutcome::Budget {
-                    // Injected exhaustion: the very first tick trips,
-                    // producing a structured fuel error with a
-                    // zero-remaining budget snapshot.
-                    budget = Budget {
-                        fuel: 1,
-                        max_depth: 1,
-                        max_allocs: 1,
-                    };
-                }
-                let run = tc_eval::run_entry_with(
-                    &check.elab.core,
-                    &entry,
-                    &EvalOptions {
-                        budget,
-                        profile: opts.profile_eval || metrics_on,
-                        cancel: opts.cancel.clone(),
-                        events: opts.events.clone(),
-                    },
-                );
-                check.telemetry.record(TraceStage::Eval, timer, 0);
-                opts.events.stage_end(TraceStage::Eval, 0);
-                check.stats.eval = Some(run.stats);
-                if metrics_on {
-                    let m = &mut check.stats.metrics;
-                    m.add(CounterId::EvalThunksCreated, run.stats.thunks_created);
-                    m.add(CounterId::EvalForces, run.stats.forces);
-                    m.add(CounterId::EvalFuelUsed, run.stats.fuel_used);
-                    if let Some(p) = &run.profile {
-                        for b in &p.bindings {
-                            m.observe(HistogramId::EvalBindingFuel, b.fuel);
-                        }
-                    }
-                }
-                profile = if opts.profile_eval { run.profile } else { None };
-                match run.result {
-                    Ok(v) => Outcome::Value(v),
-                    Err(e) => Outcome::Eval(e),
-                }
+    let entry = match (check.ok(), check.elab.core.main.clone()) {
+        (true, Some(entry)) => entry,
+        (ok, _) => {
+            let outcome = if ok {
+                Outcome::NoMain
+            } else {
+                Outcome::CompileErrors
+            };
+            return RunResult {
+                check,
+                outcome,
+                profile: None,
+            };
+        }
+    };
+    // Metrics want the per-binding fuel histogram, which only the
+    // profiler collects — profile internally when metrics are on, but
+    // surface the profile to the caller only when they asked for it.
+    let metrics_on = check.stats.metrics.is_enabled();
+    // No deadline check in front of eval: the evaluator polls the
+    // token itself.
+    let mut stages = Stages::new(opts, &mut check.telemetry, &mut check.diags);
+    let run = stages.run(TraceStage::Eval, Report::Full, |_, fault| {
+        let budget = if fault == FaultOutcome::Budget {
+            // Injected exhaustion: the very first tick trips, producing
+            // a structured fuel error with a zero-remaining snapshot.
+            Budget {
+                fuel: 1,
+                max_depth: 1,
+                max_allocs: 1,
+            }
+        } else {
+            opts.budget
+        };
+        tc_eval::run_entry_with(
+            &check.elab.core,
+            &entry,
+            &EvalOptions {
+                budget,
+                profile: opts.profile_eval || metrics_on,
+                cancel: opts.cancel.clone(),
+                events: opts.events.clone(),
+            },
+        )
+    });
+    check.stats.eval = Some(run.stats);
+    if metrics_on {
+        let m = &mut check.stats.metrics;
+        m.add(CounterId::EvalThunksCreated, run.stats.thunks_created);
+        m.add(CounterId::EvalForces, run.stats.forces);
+        m.add(CounterId::EvalFuelUsed, run.stats.fuel_used);
+        if let Some(p) = &run.profile {
+            for b in &p.bindings {
+                m.observe(HistogramId::EvalBindingFuel, b.fuel);
             }
         }
+    }
+    let outcome = match run.result {
+        Ok(v) => Outcome::Value(v),
+        Err(e) => Outcome::Eval(e),
     };
     RunResult {
         check,
         outcome,
-        profile,
+        profile: if opts.profile_eval { run.profile } else { None },
     }
 }
 
@@ -1039,7 +1061,7 @@ mod tests {
             src,
             &Options {
                 collect_metrics: true,
-                trace_goal_spans: true,
+                trace_timing: true,
                 ..Options::default()
             },
         );
@@ -1056,7 +1078,6 @@ mod tests {
     fn goal_spans_cover_top_level_goals() {
         let opts = Options {
             trace_timing: true,
-            trace_goal_spans: true,
             ..Options::default()
         };
         let c = check_source("main = eq (cons 1 nil) (cons 2 nil);", &opts);

@@ -37,64 +37,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tc_trace::{EventKind, EventScope};
+use tc_trace::{EventKind, EventScope, Stage};
 
-/// A named pipeline site where a fault may be injected. Sites sit at
-/// stage *entry*, so a `panic` fault at `elaborate` unwinds out of
-/// [`crate::check_source`] exactly as a real elaboration bug would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
-    Parse,
-    ClassEnv,
-    Elaborate,
-    Share,
-    Lint,
-    Eval,
-}
-
-impl FaultSite {
-    /// Every site, in pipeline order.
-    pub const ALL: [FaultSite; 6] = [
-        FaultSite::Parse,
-        FaultSite::ClassEnv,
-        FaultSite::Elaborate,
-        FaultSite::Share,
-        FaultSite::Lint,
-        FaultSite::Eval,
-    ];
-
-    /// The spelling used in `--faults` specs.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::Parse => "parse",
-            FaultSite::ClassEnv => "classenv",
-            FaultSite::Elaborate => "elaborate",
-            FaultSite::Share => "share",
-            FaultSite::Lint => "lint",
-            FaultSite::Eval => "eval",
-        }
-    }
-
-    fn parse(s: &str) -> Option<FaultSite> {
-        FaultSite::ALL.into_iter().find(|site| site.name() == s)
-    }
-
-    /// The [`tc_trace::Stage`] this site corresponds to, as an index
-    /// into `Stage::ALL` — the encoding flight-recorder events use,
-    /// so a `fault-injected` event names the same stage its
-    /// surrounding `stage-start` does.
-    pub fn stage_index(self) -> u64 {
-        let stage = match self {
-            FaultSite::Parse => tc_trace::Stage::Parse,
-            FaultSite::ClassEnv => tc_trace::Stage::ClassEnv,
-            FaultSite::Elaborate => tc_trace::Stage::Elaborate,
-            FaultSite::Share => tc_trace::Stage::Share,
-            FaultSite::Lint => tc_trace::Stage::Lint,
-            FaultSite::Eval => tc_trace::Stage::Eval,
-        };
-        stage as u64
-    }
-}
+/// The `--faults` spelling of each stage that has a fault site, in
+/// pipeline order. Sites sit at stage *entry*, so a `panic` fault at
+/// `elaborate` unwinds out of [`crate::check_source`] exactly as a real
+/// elaboration bug would. Lex and coherence have no spelling, so no
+/// rule can fire there. The spelling, not the stage, feeds [`decide`]:
+/// renaming a site would change which requests a seed hits.
+const SITES: [(&str, Stage); 6] = [
+    ("parse", Stage::Parse),
+    ("classenv", Stage::ClassEnv),
+    ("elaborate", Stage::Elaborate),
+    ("share", Stage::Share),
+    ("lint", Stage::Lint),
+    ("eval", Stage::Eval),
+];
 
 /// What an injected fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +69,9 @@ pub enum FaultAction {
 /// One parsed `site=action[%pct]` rule.
 #[derive(Debug, Clone)]
 struct FaultRule {
-    site: FaultSite,
+    site: Stage,
+    /// The site's `--faults` spelling.
+    name: &'static str,
     action: FaultAction,
     pct: u8,
 }
@@ -147,7 +107,7 @@ impl FaultPlan {
             let Some((site_s, rest)) = part.split_once('=') else {
                 return Err(format!("bad fault rule `{part}` (want site=action[%pct])"));
             };
-            let Some(site) = FaultSite::parse(site_s) else {
+            let Some(&(name, site)) = SITES.iter().find(|(name, _)| *name == site_s) else {
                 return Err(format!(
                     "unknown fault site `{site_s}` (one of parse, classenv, elaborate, share, lint, eval)"
                 ));
@@ -176,7 +136,12 @@ impl FaultPlan {
                     "unknown fault action `{action_s}` (one of panic, budget, delay:<ms>)"
                 ));
             };
-            rules.push(FaultRule { site, action, pct });
+            rules.push(FaultRule {
+                site,
+                name,
+                action,
+                pct,
+            });
         }
         Ok(FaultPlan { seed, rules })
     }
@@ -244,7 +209,7 @@ impl Faults {
     /// here; a budget fault is reported back for the caller to apply.
     /// Callers that need the injection count for metrics read
     /// [`Faults::injected`] afterwards.
-    pub fn fire(&self, site: FaultSite) -> FaultOutcome {
+    pub fn fire(&self, site: Stage) -> FaultOutcome {
         self.fire_traced(site, &EventScope::off())
     }
 
@@ -252,7 +217,7 @@ impl Faults {
     /// the flight recorder *before* executing the action — a panic
     /// unwinds the stack, so recording afterwards would lose exactly
     /// the firings a retained trace most needs to show.
-    pub fn fire_traced(&self, site: FaultSite, events: &EventScope) -> FaultOutcome {
+    pub fn fire_traced(&self, site: Stage, events: &EventScope) -> FaultOutcome {
         let Some(ctx) = &self.0 else {
             return FaultOutcome::None;
         };
@@ -262,7 +227,7 @@ impl Faults {
                 continue;
             }
             let hit = ctx.hits[i].fetch_add(1, Ordering::Relaxed);
-            if !decide(ctx.seed, ctx.seq, site.name(), hit, rule.pct) {
+            if !decide(ctx.seed, ctx.seq, rule.name, hit, rule.pct) {
                 continue;
             }
             ctx.fired.fetch_add(1, Ordering::Relaxed);
@@ -271,7 +236,7 @@ impl Faults {
                 FaultAction::Delay(_) => 1,
                 FaultAction::Budget => 2,
             };
-            events.record(EventKind::FaultInjected, site.stage_index(), action_code);
+            events.record(EventKind::FaultInjected, site as u64, action_code);
             match rule.action {
                 FaultAction::Panic => {
                     // The whole point: unwind out of the pipeline so
@@ -282,8 +247,7 @@ impl Faults {
                     {
                         panic!(
                             "tc-fault: injected panic at {} (seq {})",
-                            site.name(),
-                            ctx.seq
+                            rule.name, ctx.seq
                         );
                     }
                 }
@@ -372,7 +336,7 @@ mod tests {
         let plan = FaultPlan::parse("").unwrap();
         let f = plan.for_request(0);
         assert!(!f.is_active());
-        assert_eq!(f.fire(FaultSite::Parse), FaultOutcome::None);
+        assert_eq!(f.fire(Stage::Parse), FaultOutcome::None);
     }
 
     #[test]
@@ -381,7 +345,7 @@ mod tests {
             FaultPlan::parse("seed=42;elaborate=panic%30;eval=delay:5%10;parse=budget").unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rules.len(), 3);
-        assert_eq!(plan.rules[0].site, FaultSite::Elaborate);
+        assert_eq!(plan.rules[0].site, Stage::Elaborate);
         assert_eq!(plan.rules[0].action, FaultAction::Panic);
         assert_eq!(plan.rules[0].pct, 30);
         assert_eq!(plan.rules[1].action, FaultAction::Delay(5));
@@ -411,8 +375,8 @@ mod tests {
     fn budget_faults_are_reported_not_executed() {
         let plan = FaultPlan::parse("elaborate=budget").unwrap();
         let f = plan.for_request(7);
-        assert_eq!(f.fire(FaultSite::Elaborate), FaultOutcome::Budget);
-        assert_eq!(f.fire(FaultSite::Eval), FaultOutcome::None);
+        assert_eq!(f.fire(Stage::Elaborate), FaultOutcome::Budget);
+        assert_eq!(f.fire(Stage::Eval), FaultOutcome::None);
     }
 
     #[test]
@@ -420,7 +384,7 @@ mod tests {
         let plan = FaultPlan::parse("parse=panic").unwrap();
         let f = plan.for_request(3);
         let err = isolated(|| {
-            let _ = f.fire(FaultSite::Parse);
+            let _ = f.fire(Stage::Parse);
         })
         .unwrap_err();
         assert!(err.starts_with("tc-fault:"), "{err}");
@@ -431,10 +395,10 @@ mod tests {
     fn percentage_decisions_are_deterministic_and_roughly_proportional() {
         let plan = FaultPlan::parse("seed=1;eval=budget%30").unwrap();
         let fired: Vec<bool> = (0..1000)
-            .map(|seq| plan.for_request(seq).fire(FaultSite::Eval) == FaultOutcome::Budget)
+            .map(|seq| plan.for_request(seq).fire(Stage::Eval) == FaultOutcome::Budget)
             .collect();
         let again: Vec<bool> = (0..1000)
-            .map(|seq| plan.for_request(seq).fire(FaultSite::Eval) == FaultOutcome::Budget)
+            .map(|seq| plan.for_request(seq).fire(Stage::Eval) == FaultOutcome::Budget)
             .collect();
         assert_eq!(fired, again, "same seed+seq must fire identically");
         let n = fired.iter().filter(|b| **b).count();
@@ -445,7 +409,7 @@ mod tests {
         // A different seed makes different choices.
         let other = FaultPlan::parse("seed=2;eval=budget%30").unwrap();
         let diff: Vec<bool> = (0..1000)
-            .map(|seq| other.for_request(seq).fire(FaultSite::Eval) == FaultOutcome::Budget)
+            .map(|seq| other.for_request(seq).fire(Stage::Eval) == FaultOutcome::Budget)
             .collect();
         assert_ne!(fired, diff);
     }
@@ -462,7 +426,7 @@ mod tests {
         let f = plan.for_request(9);
         let scope = log.scope(9);
         let err = isolated(|| {
-            let _ = f.fire_traced(FaultSite::Elaborate, &scope);
+            let _ = f.fire_traced(Stage::Elaborate, &scope);
         })
         .unwrap_err();
         assert!(err.starts_with("tc-fault:"), "{err}");
@@ -471,7 +435,7 @@ mod tests {
         let events = log.extract(9);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::FaultInjected);
-        assert_eq!(events[0].arg0, tc_trace::Stage::Elaborate as u64);
+        assert_eq!(events[0].arg0, Stage::Elaborate as u64);
         assert_eq!(events[0].arg1, 0, "action code 0 = panic");
     }
 }

@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use tc_coreir::{CoreExpr, CoreProgram, Literal};
-use tc_trace::{CancelToken, EventKind, EventScope, Stage};
+use tc_trace::{CancelToken, EventKind, EventScope, JsonWriter, Stage};
 
 /// Resource limits for one evaluation session.
 #[derive(Debug, Clone, Copy)]
@@ -210,6 +210,23 @@ pub struct BudgetSnapshot {
     /// Native nesting depth at the failure point (0 when the failing
     /// site does not track depth, e.g. allocation).
     pub depth: usize,
+}
+
+impl BudgetSnapshot {
+    /// Write the snapshot as the `budget` object field of the writer's
+    /// current object — the shape the run trace and the serve protocol
+    /// share.
+    pub fn write_json_field(&self, w: &mut JsonWriter) {
+        w.begin_object_field("budget");
+        match &self.binding {
+            Some(name) => w.field_str("binding", name),
+            None => w.field_null("binding"),
+        }
+        w.field_u64("fuel_left", self.fuel_left);
+        w.field_u64("allocs_left", self.allocs_left);
+        w.field_u64("depth", self.depth as u64);
+        w.end_object();
+    }
 }
 
 /// Structured evaluation failures.

@@ -734,15 +734,7 @@ fn ok_response(job: &Job, r: &RunResult, latency_us: u64) -> String {
             w.field_str("detail", &e.to_string());
             w.field_str("code", e.code());
             if let Some(b) = e.budget() {
-                w.begin_object_field("budget");
-                match &b.binding {
-                    Some(name) => w.field_str("binding", name),
-                    None => w.field_null("binding"),
-                }
-                w.field_u64("fuel_left", b.fuel_left);
-                w.field_u64("allocs_left", b.allocs_left);
-                w.field_u64("depth", b.depth as u64);
-                w.end_object();
+                b.write_json_field(&mut w);
             }
         }
     }
@@ -757,19 +749,26 @@ fn ok_response(job: &Job, r: &RunResult, latency_us: u64) -> String {
         r.check.stats.write_json(&mut w);
         w.end_object();
     }
-    if job.degrade_traces || job.degrade_cache {
-        w.begin_array_field("degraded");
-        if job.degrade_traces {
-            w.elem_str("traces");
-        }
-        if job.degrade_cache {
-            w.elem_str("cache");
-        }
-        w.end_array();
-    }
+    write_degraded(&mut w, job);
     w.field_u64("latency_us", latency_us);
     w.end_object();
     w.finish()
+}
+
+/// The `degraded` array naming what admission shed from this job;
+/// absent when nothing was.
+fn write_degraded(w: &mut JsonWriter, job: &Job) {
+    if !(job.degrade_traces || job.degrade_cache) {
+        return;
+    }
+    w.begin_array_field("degraded");
+    if job.degrade_traces {
+        w.elem_str("traces");
+    }
+    if job.degrade_cache {
+        w.elem_str("cache");
+    }
+    w.end_array();
 }
 
 /// Build the `status:"ok"` response for a `cmd:"check"` job: the
@@ -804,16 +803,7 @@ fn check_response(job: &Job, c: &Check, latency_us: u64) -> String {
         c.stats.write_json(&mut w);
         w.end_object();
     }
-    if job.degrade_traces || job.degrade_cache {
-        w.begin_array_field("degraded");
-        if job.degrade_traces {
-            w.elem_str("traces");
-        }
-        if job.degrade_cache {
-            w.elem_str("cache");
-        }
-        w.end_array();
-    }
+    write_degraded(&mut w, job);
     w.field_u64("latency_us", latency_us);
     w.end_object();
     w.finish()
@@ -1443,7 +1433,6 @@ impl Core {
             // instrument that explains exactly these degraded
             // requests.
             job.opts.trace_resolution = false;
-            job.opts.trace_goal_spans = false;
             job.opts.trace_timing = false;
             job.opts.profile_eval = false;
         }

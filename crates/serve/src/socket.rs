@@ -116,6 +116,9 @@ fn accept_loop(listener: &TcpListener, core: &Arc<Core>, stop: &Arc<AtomicBool>)
         // A failed accept (client gone between SYN and accept) is the
         // client's problem, not the server's.
         let Ok(stream) = stream else { continue };
+        // Replies are small and pipelined: with Nagle on, each one
+        // after the first waits for the client's delayed ACK (~40 ms).
+        let _ = stream.set_nodelay(true);
         let core = Arc::clone(core);
         thread::spawn(move || serve_connection(&core, stream));
     }

@@ -1362,7 +1362,6 @@ fn main() -> ExitCode {
             "--no-metrics" => opts.collect_metrics = false,
             _ if arg.starts_with("--chrome-trace=") => {
                 opts.trace_timing = true;
-                opts.trace_goal_spans = true;
                 chrome_trace_path = Some(arg["--chrome-trace=".len()..].to_string());
             }
             _ if arg.starts_with("--trace-json=") => {

@@ -11,7 +11,6 @@ const MEMBER_MAIN: &str = "main = member 3 (enumFromTo 1 5);";
 fn traced() -> Options {
     Options {
         trace_timing: true,
-        trace_goal_spans: true,
         ..Options::default()
     }
 }
