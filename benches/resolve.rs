@@ -26,11 +26,11 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use typeclasses::classes::{build_class_env, ClassEnv, ReduceBudget, ResolveCache};
+use typeclasses::classes::{build_class_env, ClassEnv, GoalSink, ReduceBudget, ResolveCache};
 use typeclasses::serve::{serve_lines, ServeConfig};
 use typeclasses::syntax::Span;
 use typeclasses::types::{Pred, Type, VarGen};
-use typeclasses::{JsonWriter, Options};
+use typeclasses::{JsonWriter, MetricsRegistry, Options};
 
 /// Build a [`ClassEnv`] from Mini-Haskell class/instance declarations.
 fn env_from_source(src: &str) -> ClassEnv {
@@ -130,10 +130,13 @@ fn bench_resolution(name: &'static str, cenv: &ClassEnv, pred: &Pred, iters: usi
     let nanos_off = t1.elapsed().as_nanos();
     let off = off_cache.stats;
 
-    // Counters are folded after the timed loops, so enabling metrics
+    // Counters are folded after the timed loops, so observing metrics
     // here costs the measurement nothing.
-    cache.enable_metrics();
-    cache.flush_metrics();
+    cache.install(GoalSink {
+        metrics: MetricsRegistry::new(),
+        ..GoalSink::default()
+    });
+    let metrics = cache.detach().metrics;
 
     Row {
         name,
@@ -148,7 +151,7 @@ fn bench_resolution(name: &'static str, cenv: &ClassEnv, pred: &Pred, iters: usi
         nanos_off,
         // Raw resolution has exactly one "stage": the cache-on loop.
         stages: vec![("resolve".to_string(), saturate(nanos_on))],
-        metrics: cache.metrics.counters_snapshot(),
+        metrics: metrics.counters_snapshot(),
     }
 }
 

@@ -47,11 +47,23 @@
 //!
 //! Failures are never cached: they are the cold path, and their
 //! diagnostics carry use-site spans that must be rebuilt per call.
+//!
+//! # Observation
+//!
+//! [`ResolveStats`] is always on. Every other observer — explain trees
+//! and goal spans ([`GoalLog`]), metrics, flight-recorder events — sits
+//! in one [`GoalSink`], installed once per session
+//! ([`ResolveCache::install`]) and detached once
+//! ([`ResolveCache::detach`]); a detached cache records nothing. A
+//! goal reports in two places: where its memo disposition is known
+//! (memo counters, `goal` event) and where it closes (depth histogram,
+//! explain node, span). With no sink installed, each is one branch.
 
 use crate::env::ClassEnv;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
+use tc_trace::events::{MEMO_HIT, MEMO_MISS, MEMO_UNCACHED};
 use tc_trace::{
     CancelToken, CounterId, EventKind, EventScope, GaugeId, HistogramId, MetricsRegistry,
     SpanEvent, Stage, TraceNode,
@@ -198,35 +210,40 @@ impl DictDeriv {
     }
 }
 
-/// Human description of a superclass-projection derivation for the
-/// explain-trace: which assumption it starts from and the slot path
-/// projected through. Falls back to a generic label for shapes
-/// `via_supers` cannot produce.
-fn describe_projection(d: &DictDeriv) -> String {
-    let mut slots: Vec<usize> = Vec::new();
+/// How a resolved goal was discharged, for its explain node:
+/// assumption, superclass projection (its assumption and slot path),
+/// instance (`[tabled]` when its derivation entered the memo table),
+/// or memo hit (with the goal that derived the entry).
+fn describe(env: &ClassEnv, assumptions: &[Pred], memo: Memo, d: &DictDeriv) -> String {
+    let mut slots: Vec<String> = Vec::new();
     let mut cur = d;
-    loop {
-        match cur {
-            DictDeriv::FromSuper { base, slot } => {
-                slots.push(*slot);
-                cur = base;
-            }
-            DictDeriv::FromParam { index } => {
-                if slots.is_empty() {
-                    return format!("assumption #{index}");
-                }
-                // Collected outermost-first; projections apply from the
-                // assumption outward.
-                slots.reverse();
-                let path = slots
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                return format!("superclass projection of assumption #{index} (slots [{path}])");
-            }
-            DictDeriv::FromInstance { .. } => return "superclass projection".to_string(),
+    while let DictDeriv::FromSuper { base, slot } = cur {
+        slots.push(slot.to_string());
+        cur = base;
+    }
+    // Collected outermost-first; projections apply from the
+    // assumption outward.
+    slots.reverse();
+    match (memo, cur) {
+        (Memo::Hit { origin }, _) => format!("memo hit (derived at goal #{origin})"),
+        (_, DictDeriv::FromParam { index }) if slots.is_empty() => {
+            let a = assumptions
+                .get(*index)
+                .map_or(String::new(), Pred::to_string);
+            format!("assumption #{index} `{a}`")
         }
+        (_, DictDeriv::FromParam { index }) => format!(
+            "superclass projection of assumption #{index} (slots [{}])",
+            slots.join(", ")
+        ),
+        (_, DictDeriv::FromInstance { inst_id, .. }) if slots.is_empty() => {
+            let head = env.instance_by_id(*inst_id).map(|i| i.head.to_string());
+            // A missed goal's closed derivation is always tabled.
+            let tabled = matches!(memo, Memo::Miss { .. }) && d.is_closed();
+            let mark = if tabled { " [tabled]" } else { "" };
+            format!("instance #{inst_id} `{}`{mark}", head.unwrap_or_default())
+        }
+        _ => "superclass projection".to_string(),
     }
 }
 
@@ -271,46 +288,93 @@ struct CacheEntry {
     origin: u64,
 }
 
-/// The explain-trace for one resolution session: one [`TraceNode`]
-/// tree per top-level goal, in resolution order. Child nodes are the
-/// instance-context subgoals of their parent. Labels carry the goal's
-/// session-wide sequence number (`[#n]`), the predicate, and how it
-/// was discharged — assumption, superclass projection, instance
-/// (marked `[tabled]` when its derivation entered the memo table), or
-/// memo hit with the originating goal's number.
-#[derive(Debug, Default)]
-pub struct ResolveTraceLog {
-    pub goals: Vec<TraceNode>,
+/// How the memo table answered one goal: the `goal` event's memo
+/// payload, kept on the goal's explain frame until the goal closes.
+#[derive(Debug, Clone, Copy)]
+enum Memo {
+    /// Not consulted: an assumption answered the goal, the table is
+    /// off, an assumption in scope is not in HNF, or the goal is open.
+    Uncached,
+    /// Answered by the entry that goal `origin` derived.
+    Hit { origin: u64 },
+    /// Consulted and missed; a closed derivation is tabled under `key`.
+    Miss { key: (NameId, TypeId) },
 }
 
-impl ResolveTraceLog {
+/// A goal that reached its memo disposition and has not closed yet;
+/// collects the explain nodes of its subgoals.
+#[derive(Debug)]
+struct Frame {
+    depth: usize,
+    seq: u64,
+    memo: Memo,
+    children: Vec<TraceNode>,
+}
+
+/// The explain trees and top-level goal spans of one resolution
+/// session. A tree's root is a top-level goal and its children are the
+/// goal's instance-context subgoals; each node reads `[#n] pred: how`,
+/// with the goal's session-wide sequence number. Spans are timed
+/// against the pipeline telemetry's epoch, so they nest inside the
+/// `elaborate` stage span of a Chrome trace.
+#[derive(Debug)]
+pub struct GoalLog {
+    explain: bool,
+    trees: Vec<TraceNode>,
+    frames: Vec<Frame>,
+    epoch: Option<Instant>,
+    /// One span per top-level goal; empty unless an epoch was given.
+    pub spans: Vec<SpanEvent>,
+}
+
+impl GoalLog {
+    /// A log that records explain trees when `explain` is set and
+    /// goal spans when `span_epoch` is; `None` when both are off.
+    pub fn new(explain: bool, span_epoch: Option<Instant>) -> Option<GoalLog> {
+        (explain || span_epoch.is_some()).then(|| GoalLog {
+            explain,
+            trees: Vec::new(),
+            frames: Vec::new(),
+            epoch: span_epoch,
+            spans: Vec::new(),
+        })
+    }
+
+    /// Number of explain trees (top-level goals explained).
     pub fn len(&self) -> usize {
-        self.goals.len()
+        self.trees.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.goals.is_empty()
+        self.trees.is_empty()
     }
 
-    /// Render every goal tree as an indented block, in order.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for goal in &self.goals {
-            goal.render_into(&mut out);
-        }
-        out
+    /// Every explain tree as an indented block, in order; `None` when
+    /// the log was not explaining.
+    pub fn render(&self) -> Option<String> {
+        self.explain.then(|| {
+            let mut out = String::new();
+            for tree in &self.trees {
+                tree.render_into(&mut out);
+            }
+            out
+        })
     }
 }
 
-/// Wall-clock span sink for top-level resolution goals, timed against
-/// a shared epoch (normally the pipeline telemetry's start instant) so
-/// the spans land inside the enclosing `elaborate` stage span in a
-/// Chrome trace. Heap-allocated behind an `Option` so that, like the
-/// explain-trace, it costs nothing when off.
-#[derive(Debug)]
-pub struct GoalSpanLog {
-    epoch: Instant,
-    events: Vec<SpanEvent>,
+/// Every observer of a resolution session beyond the always-on
+/// [`ResolveStats`], installed on a [`ResolveCache`] as one unit with
+/// [`ResolveCache::install`] and taken out with
+/// [`ResolveCache::detach`]. Each part is off by default.
+#[derive(Debug, Default)]
+pub struct GoalSink {
+    /// Explain trees and top-level goal spans.
+    pub log: Option<GoalLog>,
+    /// The goal-depth histogram and evictions, plus the session totals
+    /// folded in on detach.
+    pub metrics: MetricsRegistry,
+    /// Flight recorder: `goal`, `cache-evict` and `cancelled` events.
+    pub events: EventScope,
 }
 
 /// Saturating `u128 -> u64` for nanosecond readings.
@@ -331,28 +395,17 @@ pub struct ResolveCache {
     /// counters still accumulate — the cache-off baseline.
     pub enabled: bool,
     pub stats: ResolveStats,
-    /// Explain-trace sink. `None` (the default) means tracing is off
-    /// and resolution allocates no trace structures at all.
-    pub trace: Option<Box<ResolveTraceLog>>,
-    /// Metrics sink. Off (and allocation-free) by default; enable with
-    /// [`ResolveCache::enable_metrics`] and harvest with
-    /// [`ResolveCache::flush_metrics`].
-    pub metrics: MetricsRegistry,
     /// Entry cap for the memo table. `None` (the default) means
     /// unbounded; `Some(n)` evicts an arbitrary tabled derivation
     /// before each insert that would exceed `n` entries.
     capacity: Option<usize>,
-    /// Per-goal wall-clock span sink; `None` means span collection is
-    /// off and resolution never reads the clock.
-    goal_spans: Option<Box<GoalSpanLog>>,
     /// Cooperative cancellation, polled every [`CANCEL_POLL_GOALS`]
     /// goals inside the search loop. `None` (the default) costs one
     /// branch per poll site.
     cancel: Option<CancelToken>,
-    /// Flight-recorder scope: one `goal` event per resolved goal
-    /// (depth, memo hit/miss) and one `cache-evict` event per capacity
-    /// trim. Off (one branch per site) by default.
-    events: EventScope,
+    /// The session's observers; `None` (the default) costs one branch
+    /// per report site and allocates nothing.
+    sink: Option<Box<GoalSink>>,
 }
 
 impl ResolveCache {
@@ -386,29 +439,6 @@ impl ResolveCache {
         self.table.get(&(class, ty)).map(|e| e.cost)
     }
 
-    /// Turn on explain-tracing: subsequent resolutions append one goal
-    /// tree per top-level goal to the trace log. Idempotent.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Box::new(ResolveTraceLog::default()));
-        }
-    }
-
-    /// Detach the accumulated explain-trace (tracing turns off).
-    pub fn take_trace(&mut self) -> Option<ResolveTraceLog> {
-        self.trace.take().map(|b| *b)
-    }
-
-    /// Turn on metrics collection. Idempotent; live counters (e.g.
-    /// evictions) and the goal-depth histogram accumulate as
-    /// resolution runs, while table/interner totals are folded in by
-    /// [`ResolveCache::flush_metrics`].
-    pub fn enable_metrics(&mut self) {
-        if !self.metrics.is_enabled() {
-            self.metrics = MetricsRegistry::new();
-        }
-    }
-
     /// Cap the memo table at `n` entries; inserts beyond the cap evict
     /// an arbitrary existing entry (counted under
     /// `resolve.cache.evictions` when metrics are on).
@@ -422,56 +452,65 @@ impl ResolveCache {
         self.cancel = Some(token);
     }
 
-    /// Install a flight-recorder scope; per-goal and eviction events
-    /// record into it as resolution runs.
-    pub fn set_events(&mut self, events: EventScope) {
-        self.events = events;
+    /// Install `sink` as the observers of the resolutions that follow,
+    /// replacing any installed before. A sink with every part off
+    /// installs nothing.
+    pub fn install(&mut self, sink: GoalSink) {
+        let on = sink.log.is_some() || sink.metrics.is_enabled() || sink.events.is_enabled();
+        self.sink = on.then(|| Box::new(sink));
     }
 
-    /// Start recording one wall-clock [`SpanEvent`] per *top-level*
-    /// resolution goal, timed relative to `epoch`. Pass the pipeline
-    /// telemetry's epoch so the spans nest inside the `elaborate`
-    /// stage span in a Chrome trace. Idempotent (keeps the first
-    /// epoch).
-    pub fn enable_goal_spans(&mut self, epoch: Instant) {
-        if self.goal_spans.is_none() {
-            self.goal_spans = Some(Box::new(GoalSpanLog {
-                epoch,
-                events: Vec::new(),
-            }));
-        }
-    }
-
-    /// Detach the accumulated goal spans (span collection turns off).
-    pub fn take_goal_spans(&mut self) -> Vec<SpanEvent> {
-        self.goal_spans.take().map(|b| b.events).unwrap_or_default()
-    }
-
-    /// Fold the session totals — resolution counters, interner
-    /// traffic, and end-of-run table sizes — into the metrics
-    /// registry. Call once, when the cache's session ends: the fold is
-    /// cumulative, so flushing twice double-counts. No-op (and
-    /// allocation-free) when metrics are off.
-    pub fn flush_metrics(&mut self) {
-        if !self.metrics.is_enabled() {
-            return;
-        }
-        self.metrics
-            .add(CounterId::ResolveCacheHits, self.stats.table_hits);
-        self.metrics
-            .add(CounterId::ResolveCacheMisses, self.stats.table_misses);
-        self.metrics.add(CounterId::ResolveGoals, self.stats.goals);
-        self.metrics.add(
-            CounterId::ResolveDictsConstructed,
-            self.stats.dicts_constructed,
-        );
+    /// Take every observer out — later resolutions record nothing
+    /// anywhere — and hand them back, with the session totals
+    /// (resolution counters, interner traffic, end-of-run table sizes)
+    /// folded into the metrics. The fold is cumulative over the
+    /// cache's life, so a cache reused across sessions should collect
+    /// metrics in one of them only.
+    pub fn detach(&mut self) -> GoalSink {
+        let Some(mut sink) = self.sink.take() else {
+            return GoalSink::default();
+        };
+        let (m, s) = (&mut sink.metrics, self.stats);
+        m.add(CounterId::ResolveCacheHits, s.table_hits);
+        m.add(CounterId::ResolveCacheMisses, s.table_misses);
+        m.add(CounterId::ResolveGoals, s.goals);
+        m.add(CounterId::ResolveDictsConstructed, s.dicts_constructed);
         let intern = self.interner.stats();
-        self.metrics.add(CounterId::InternHits, intern.hits);
-        self.metrics.add(CounterId::InternFresh, intern.fresh);
-        self.metrics
-            .set_gauge(GaugeId::InternTableSize, self.interner.len() as u64);
-        self.metrics
-            .set_gauge(GaugeId::ResolveCacheEntries, self.table.len() as u64);
+        m.add(CounterId::InternHits, intern.hits);
+        m.add(CounterId::InternFresh, intern.fresh);
+        m.set_gauge(GaugeId::InternTableSize, self.interner.len() as u64);
+        m.set_gauge(GaugeId::ResolveCacheEntries, self.table.len() as u64);
+        *sink
+    }
+
+    /// Report a goal at `depth` whose memo disposition is now known:
+    /// the memo counters, the `goal` event and, when explaining, the
+    /// frame that collects the goal's subgoals.
+    fn disposed(&mut self, depth: usize, memo: Memo) {
+        let code = match memo {
+            Memo::Hit { .. } => {
+                self.stats.table_hits += 1;
+                MEMO_HIT
+            }
+            Memo::Miss { .. } => {
+                self.stats.table_misses += 1;
+                MEMO_MISS
+            }
+            Memo::Uncached => MEMO_UNCACHED,
+        };
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.events.record(EventKind::Goal, depth as u64, code);
+            if let Some(log) = sink.log.as_mut().filter(|l| l.explain) {
+                log.frames.push(Frame {
+                    depth,
+                    // Nothing between a goal's count and its
+                    // disposition counts goals.
+                    seq: self.stats.goals,
+                    memo,
+                    children: Vec::new(),
+                });
+            }
+        }
     }
 }
 
@@ -487,13 +526,8 @@ struct Search<'e> {
     /// pure goal can ever be discharged by one — the precondition for
     /// consulting the table (see the module docs on soundness).
     assumptions_hnf: bool,
-    /// Snapshot of `cache.trace.is_some()`: explain-tracing is on.
-    /// When `false`, resolution takes one extra branch per goal and
-    /// builds nothing.
-    tracing: bool,
-    /// One frame per goal currently being resolved; each frame
-    /// collects the trace nodes of that goal's subgoals.
-    node_stack: Vec<Vec<TraceNode>>,
+    /// When this search's top-level goal started, if goal spans are on.
+    start: Option<Instant>,
 }
 
 impl<'e> Search<'e> {
@@ -504,8 +538,9 @@ impl<'e> Search<'e> {
         cache: &'e mut ResolveCache,
     ) -> Self {
         let assumptions_hnf = assumptions.iter().all(|a| a.in_hnf());
-        let tracing = cache.trace.is_some();
+        let epoch = cache.sink.as_ref().and_then(|s| s.log.as_ref()?.epoch);
         Search {
+            start: epoch.map(|_| Instant::now()),
             env,
             assumptions,
             budget,
@@ -513,84 +548,67 @@ impl<'e> Search<'e> {
             in_progress: Vec::new(),
             cache,
             assumptions_hnf,
-            tracing,
-            node_stack: Vec::new(),
         }
     }
 
-    /// Resolve one goal. With tracing off this is a tail call into
-    /// [`Search::resolve_step`]; with tracing on it brackets the step
-    /// with a subgoal-collection frame and records a [`TraceNode`]
-    /// labelled with the goal's sequence number, predicate, and how it
-    /// was (or failed to be) discharged. Top-level goals (depth 0) are
-    /// additionally wall-clock timed when goal-span collection is on.
+    /// Resolve one goal: [`Search::resolve_step`], then
+    /// [`Search::close`] when a sink is installed.
     fn resolve(&mut self, pred: &Pred, depth: usize) -> Result<DictDeriv, ResolveError> {
-        let span_start = if depth == 0 && self.cache.goal_spans.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let result = self.resolve_traced(pred, depth);
-        if let Some(start) = span_start {
-            if let Some(log) = self.cache.goal_spans.as_mut() {
-                // `duration_since` saturates to zero if `start` somehow
-                // precedes the epoch — no panic path.
-                log.events.push(SpanEvent {
-                    name: pred.to_string(),
-                    cat: "resolve",
-                    start_ns: saturate_ns(start.duration_since(log.epoch).as_nanos()),
-                    duration_ns: saturate_ns(start.elapsed().as_nanos()),
-                });
-            }
+        let result = self.resolve_step(pred, depth);
+        if self.cache.sink.is_some() {
+            self.close(pred, depth, &result);
         }
         result
     }
 
-    /// [`Search::resolve`] minus the goal-span bracket: dispatches on
-    /// whether explain-tracing is on.
-    fn resolve_traced(&mut self, pred: &Pred, depth: usize) -> Result<DictDeriv, ResolveError> {
-        if !self.tracing {
-            let mut via = None;
-            return self.resolve_step(pred, depth, &mut via);
+    /// Close one goal: its depth-histogram observation, its explain
+    /// node (whose children its subgoals closed into its frame), and
+    /// for the top-level goal its span.
+    fn close(&mut self, pred: &Pred, depth: usize, result: &Result<DictDeriv, ResolveError>) {
+        let (env, assumptions, goals) = (self.env, self.assumptions, self.cache.stats.goals);
+        let Some(sink) = self.cache.sink.as_deref_mut() else {
+            return;
+        };
+        sink.metrics
+            .observe(HistogramId::ResolveGoalDepth, depth as u64);
+        let Some(log) = sink.log.as_mut() else {
+            return;
+        };
+        if let (0, Some(start), Some(epoch)) = (depth, self.start, log.epoch) {
+            // `duration_since` saturates to zero if `start` somehow
+            // precedes the epoch — no panic path.
+            log.spans.push(SpanEvent {
+                name: pred.to_string(),
+                cat: "resolve",
+                start_ns: saturate_ns(start.duration_since(epoch).as_nanos()),
+                duration_ns: saturate_ns(start.elapsed().as_nanos()),
+            });
         }
-        // `resolve_step` increments the goal counter first thing, so
-        // this goal's sequence number is the next count.
-        let seq = self.cache.stats.goals + 1;
-        self.node_stack.push(Vec::new());
-        let mut via = None;
-        let result = self.resolve_step(pred, depth, &mut via);
-        let children = self.node_stack.pop().unwrap_or_default();
-        let outcome = match (&result, via) {
-            (Ok(_), Some(v)) => v,
-            (Ok(_), None) => "resolved".to_string(),
-            (Err(e), _) => format!("failed: {e}"),
+        if !log.explain {
+            return;
+        }
+        // A goal that failed before its memo disposition has no frame
+        // and no subgoals, and no goal was counted after its own.
+        let (seq, memo, children) = match log.frames.pop_if(|f| f.depth == depth) {
+            Some(f) => (f.seq, f.memo, f.children),
+            None => (goals, Memo::Uncached, Vec::new()),
+        };
+        let outcome = match result {
+            Ok(d) => describe(env, assumptions, memo, d),
+            Err(e) => format!("failed: {e}"),
         };
         let node = TraceNode::new(format!("[#{seq}] {pred}: {outcome}"), children);
-        if let Some(frame) = self.node_stack.last_mut() {
-            frame.push(node);
-        } else if let Some(log) = self.cache.trace.as_mut() {
-            log.goals.push(node);
+        match log.frames.last_mut() {
+            Some(parent) => parent.children.push(node),
+            None => log.trees.push(node),
         }
-        result
     }
 
     /// The actual backward-chaining step behind [`Search::resolve`].
-    /// On success (and when tracing) `via` is set to a human
-    /// description of how the goal was discharged.
-    fn resolve_step(
-        &mut self,
-        pred: &Pred,
-        depth: usize,
-        via: &mut Option<String>,
-    ) -> Result<DictDeriv, ResolveError> {
+    fn resolve_step(&mut self, pred: &Pred, depth: usize) -> Result<DictDeriv, ResolveError> {
         self.steps += 1;
         self.cache.stats.goals += 1;
         self.cache.stats.steps += 1;
-        // One observation per goal: the histogram's count always equals
-        // `stats.goals` for the same session.
-        self.cache
-            .metrics
-            .observe(HistogramId::ResolveGoalDepth, depth as u64);
         let goal_seq = self.cache.stats.goals;
         // Poll the cancellation token every few goals: cheap enough to
         // keep deadline latency low (one goal is itself bounded work),
@@ -598,7 +616,9 @@ impl<'e> Search<'e> {
         if self.steps & (CANCEL_POLL_GOALS - 1) == 0 {
             if let Some(c) = &self.cache.cancel {
                 if c.is_cancelled() {
-                    self.cache.events.cancelled(Stage::Elaborate);
+                    if let Some(sink) = &self.cache.sink {
+                        sink.events.cancelled(Stage::Elaborate);
+                    }
                     return Err(ResolveError::Cancelled { pred: pred.clone() });
                 }
             }
@@ -616,59 +636,11 @@ impl<'e> Search<'e> {
             });
         }
 
-        // 1. Direct assumption?
-        for (i, a) in self.assumptions.iter().enumerate() {
-            if a.same_constraint(pred) {
-                if self.tracing {
-                    *via = Some(format!("assumption #{i} `{a}`"));
-                }
-                self.cache.events.record(EventKind::Goal, depth as u64, 2);
-                return Ok(DictDeriv::FromParam { index: i });
-            }
-        }
-
-        // 2. Reachable from an assumption through superclass edges?
-        //    (`class Eq a => Ord a` + assumption `Ord t` entails `Eq t`.)
-        if let Some(d) = self.via_supers(pred) {
-            if self.tracing {
-                *via = Some(describe_projection(&d));
-            }
-            self.cache.events.record(EventKind::Goal, depth as u64, 2);
+        let (memo, answer) = self.lookup(pred)?;
+        self.cache.disposed(depth, memo);
+        if let Some(d) = answer {
             return Ok(d);
         }
-
-        if !self.env.classes.contains_key(&pred.class) {
-            return Err(ResolveError::UnknownClass { pred: pred.clone() });
-        }
-
-        // 3. Memo table. Consulted only after the assumption checks
-        //    (which are per-call) and only for pure goals under an
-        //    all-HNF assumption set, so a hit is exactly what a fresh
-        //    instance-chaining search would have derived. A hit has
-        //    already been charged its single budget step above.
-        let cache_key = if self.cache.enabled && self.assumptions_hnf {
-            let class = self.cache.interner.intern_name(&pred.class);
-            let ty = self.cache.interner.intern(&pred.ty);
-            if self.cache.interner.is_pure(ty) {
-                if let Some(entry) = self.cache.table.get(&(class, ty)) {
-                    self.cache.stats.table_hits += 1;
-                    if self.tracing {
-                        *via = Some(format!("memo hit (derived at goal #{})", entry.origin));
-                    }
-                    self.cache.events.record(EventKind::Goal, depth as u64, 1);
-                    return Ok(entry.deriv.clone());
-                }
-                self.cache.stats.table_misses += 1;
-                self.cache.events.record(EventKind::Goal, depth as u64, 0);
-                Some((class, ty))
-            } else {
-                self.cache.events.record(EventKind::Goal, depth as u64, 2);
-                None
-            }
-        } else {
-            self.cache.events.record(EventKind::Goal, depth as u64, 2);
-            None
-        };
         let steps_at_entry = self.steps;
 
         // 4. Cycle check before chaining through instances.
@@ -690,11 +662,6 @@ impl<'e> Search<'e> {
             return Err(ResolveError::NoInstance { pred: pred.clone() });
         };
         let inst_id = inst.id;
-        let inst_head = if self.tracing {
-            Some(inst.head.to_string())
-        } else {
-            None
-        };
         let subgoals: Vec<Pred> = inst
             .preds
             .iter()
@@ -726,8 +693,7 @@ impl<'e> Search<'e> {
         // 6. Table the completed derivation. `is_closed` re-checks
         //    that no subgoal leaned on an assumption (belt and braces —
         //    the HNF guard already rules it out for pure goals).
-        let mut tabled = false;
-        if let Some(key) = cache_key {
+        if let Memo::Miss { key } = memo {
             if deriv.is_closed() {
                 // Honour the entry cap: make room by dropping an
                 // arbitrary tabled derivation. Correctness is
@@ -740,11 +706,11 @@ impl<'e> Search<'e> {
                             break;
                         };
                         self.cache.table.remove(&victim);
-                        self.cache.metrics.incr(CounterId::ResolveCacheEvictions);
                         evicted += 1;
                     }
-                    if evicted > 0 {
-                        self.cache.events.record(EventKind::CacheEvict, evicted, 0);
+                    if let Some(sink) = self.cache.sink.as_deref_mut().filter(|_| evicted > 0) {
+                        sink.metrics.add(CounterId::ResolveCacheEvictions, evicted);
+                        sink.events.record(EventKind::CacheEvict, evicted, 0);
                     }
                 }
                 // The goal's own entry step plus everything below it.
@@ -757,17 +723,52 @@ impl<'e> Search<'e> {
                         origin: goal_seq,
                     },
                 );
-                tabled = true;
             }
         }
-        if self.tracing {
-            *via = Some(format!(
-                "instance #{inst_id} `{}`{}",
-                inst_head.unwrap_or_default(),
-                if tabled { " [tabled]" } else { "" }
-            ));
-        }
         Ok(deriv)
+    }
+
+    /// Steps 1–3 of [`Search::resolve_step`]: the goal's memo
+    /// disposition, plus its derivation when an assumption, a
+    /// superclass projection or a table hit discharges it without
+    /// instance chaining.
+    fn lookup(&mut self, pred: &Pred) -> Result<(Memo, Option<DictDeriv>), ResolveError> {
+        // 1. Direct assumption?
+        if let Some(index) = self
+            .assumptions
+            .iter()
+            .position(|a| a.same_constraint(pred))
+        {
+            return Ok((Memo::Uncached, Some(DictDeriv::FromParam { index })));
+        }
+
+        // 2. Reachable from an assumption through superclass edges?
+        //    (`class Eq a => Ord a` + assumption `Ord t` entails `Eq t`.)
+        if let Some(d) = self.via_supers(pred) {
+            return Ok((Memo::Uncached, Some(d)));
+        }
+
+        if !self.env.classes.contains_key(&pred.class) {
+            return Err(ResolveError::UnknownClass { pred: pred.clone() });
+        }
+
+        // 3. Memo table. Consulted only after the assumption checks
+        //    (which are per-call) and only for pure goals under an
+        //    all-HNF assumption set, so a hit is exactly what a fresh
+        //    instance-chaining search would have derived. A hit has
+        //    already been charged its single budget step.
+        if !(self.cache.enabled && self.assumptions_hnf) {
+            return Ok((Memo::Uncached, None));
+        }
+        let class = self.cache.interner.intern_name(&pred.class);
+        let ty = self.cache.interner.intern(&pred.ty);
+        if !self.cache.interner.is_pure(ty) {
+            return Ok((Memo::Uncached, None));
+        }
+        Ok(match self.cache.table.get(&(class, ty)) {
+            Some(e) => (Memo::Hit { origin: e.origin }, Some(e.deriv.clone())),
+            None => (Memo::Miss { key: (class, ty) }, None),
+        })
     }
 
     /// BFS over superclass edges from each assumption, looking for
@@ -1173,6 +1174,22 @@ mod tests {
         assert!(matches!(errs[0], ResolveError::NoInstance { .. }));
     }
 
+    /// A sink with just the explain log.
+    fn explain() -> GoalSink {
+        GoalSink {
+            log: GoalLog::new(true, None),
+            ..GoalSink::default()
+        }
+    }
+
+    /// A sink with just metrics.
+    fn metrics() -> GoalSink {
+        GoalSink {
+            metrics: MetricsRegistry::new(),
+            ..GoalSink::default()
+        }
+    }
+
     /// `Eq (List^depth Int)`.
     fn tower(depth: usize) -> Pred {
         let mut t = Type::int();
@@ -1312,17 +1329,17 @@ mod tests {
     fn explain_trace_records_instances_and_memo_hits() {
         let e = env();
         let mut cache = ResolveCache::new();
-        cache.enable_trace();
+        cache.install(explain());
         // First derivation: full instance chain, tabled.
         e.resolve_with(&tower(1), &[], Default::default(), &mut cache)
             .unwrap();
         // Second: answered by the table, with provenance.
         e.resolve_with(&tower(1), &[], Default::default(), &mut cache)
             .unwrap();
-        let log = cache.take_trace().expect("tracing was enabled");
-        assert!(cache.trace.is_none(), "take_trace turns tracing off");
+        let log = cache.detach().log.expect("tracing was enabled");
+        assert!(cache.detach().log.is_none(), "detach turns tracing off");
         assert_eq!(log.len(), 2, "{log:?}");
-        let rendered = log.render();
+        let rendered = log.render().expect("explaining");
         assert!(rendered.contains("Eq (List Int)"), "{rendered}");
         assert!(rendered.contains("instance #1"), "{rendered}");
         assert!(rendered.contains("[tabled]"), "{rendered}");
@@ -1340,7 +1357,7 @@ mod tests {
     fn explain_trace_records_assumptions_and_projections() {
         let e = env();
         let mut cache = ResolveCache::new();
-        cache.enable_trace();
+        cache.install(explain());
         let assump = [Pred::new("Ord", Type::Var(TyVar(5)), sp())];
         e.resolve_with(&assump[0], &assump, Default::default(), &mut cache)
             .unwrap();
@@ -1351,7 +1368,11 @@ mod tests {
             &mut cache,
         )
         .unwrap();
-        let rendered = cache.take_trace().expect("tracing on").render();
+        let rendered = cache
+            .detach()
+            .log
+            .and_then(|l| l.render())
+            .expect("tracing on");
         assert!(rendered.contains("assumption #0"), "{rendered}");
         assert!(
             rendered.contains("superclass projection of assumption #0 (slots [0])"),
@@ -1363,7 +1384,7 @@ mod tests {
     fn explain_trace_records_failures() {
         let e = env();
         let mut cache = ResolveCache::new();
-        cache.enable_trace();
+        cache.install(explain());
         e.resolve_with(
             &Pred::new("Eq", Type::bool(), sp()),
             &[],
@@ -1371,7 +1392,11 @@ mod tests {
             &mut cache,
         )
         .unwrap_err();
-        let rendered = cache.take_trace().expect("tracing on").render();
+        let rendered = cache
+            .detach()
+            .log
+            .and_then(|l| l.render())
+            .expect("tracing on");
         assert!(
             rendered.contains("failed: no instance for `Eq Bool`"),
             "{rendered}"
@@ -1384,15 +1409,15 @@ mod tests {
         let mut cache = ResolveCache::new();
         e.resolve_with(&tower(3), &[], Default::default(), &mut cache)
             .unwrap();
-        assert!(cache.trace.is_none());
-        assert!(cache.take_trace().is_none());
+        assert!(cache.sink.is_none());
+        assert!(cache.detach().log.is_none());
     }
 
     #[test]
     fn traced_resolution_agrees_with_untraced() {
         let e = env();
         let mut traced = ResolveCache::new();
-        traced.enable_trace();
+        traced.install(explain());
         let mut plain = ResolveCache::new();
         for depth in [0, 2, 4, 2, 0] {
             let goal = tower(depth);
@@ -1419,13 +1444,13 @@ mod tests {
     fn metrics_agree_with_stats_after_flush() {
         let e = env();
         let mut cache = ResolveCache::new();
-        cache.enable_metrics();
+        cache.install(metrics());
         for depth in [4, 4, 2] {
             e.resolve_with(&tower(depth), &[], Default::default(), &mut cache)
                 .unwrap();
         }
-        cache.flush_metrics();
-        let m = &cache.metrics;
+        let sink = cache.detach();
+        let m = &sink.metrics;
         assert_eq!(
             m.counter(CounterId::ResolveCacheHits),
             cache.stats.table_hits
@@ -1454,23 +1479,24 @@ mod tests {
         let mut cache = ResolveCache::new();
         e.resolve_with(&tower(3), &[], Default::default(), &mut cache)
             .unwrap();
-        cache.flush_metrics();
-        assert!(cache.metrics.allocates_nothing());
-        assert_eq!(cache.metrics.counter(CounterId::ResolveGoals), 0);
+        let sink = cache.detach();
+        assert!(sink.metrics.allocates_nothing());
+        assert_eq!(sink.metrics.counter(CounterId::ResolveGoals), 0);
     }
 
     #[test]
     fn capacity_caps_table_and_counts_evictions() {
         let e = env();
         let mut cache = ResolveCache::new();
-        cache.enable_metrics();
+        cache.install(metrics());
         cache.set_capacity(2);
         // A depth-6 tower tables one derivation per layer: 7 without a
         // cap, so the cap must evict.
         e.resolve_with(&tower(6), &[], Default::default(), &mut cache)
             .unwrap();
         assert!(cache.len() <= 2, "table holds {} entries", cache.len());
-        assert!(cache.metrics.counter(CounterId::ResolveCacheEvictions) > 0);
+        let sink = cache.detach();
+        assert!(sink.metrics.counter(CounterId::ResolveCacheEvictions) > 0);
         // Capped resolution still answers identically to fresh.
         let fresh = e.resolve(&tower(6), &[], Default::default());
         let capped = e.resolve_with(&tower(6), &[], Default::default(), &mut cache);
@@ -1482,20 +1508,23 @@ mod tests {
         let e = env();
         let mut cache = ResolveCache::new();
         let epoch = Instant::now();
-        cache.enable_goal_spans(epoch);
+        cache.install(GoalSink {
+            log: GoalLog::new(false, Some(epoch)),
+            ..GoalSink::default()
+        });
         e.resolve_with(&tower(3), &[], Default::default(), &mut cache)
             .unwrap();
         e.resolve_with(&tower(1), &[], Default::default(), &mut cache)
             .unwrap();
-        let spans = cache.take_goal_spans();
+        let spans = cache.detach().log.map(|l| l.spans).unwrap_or_default();
         // One span per *top-level* goal, not per subgoal.
         assert_eq!(spans.len(), 2, "{spans:?}");
         assert!(spans.iter().all(|s| s.cat == "resolve"));
         assert!(spans[0].name.contains("Eq"), "{spans:?}");
         // Monotone: the second goal starts at or after the first.
         assert!(spans[1].start_ns >= spans[0].start_ns);
-        // Collection turned itself off with take.
-        assert!(cache.take_goal_spans().is_empty());
+        // Collection turned itself off with detach.
+        assert!(cache.detach().log.is_none());
     }
 
     #[test]
@@ -1504,8 +1533,8 @@ mod tests {
         let mut cache = ResolveCache::new();
         e.resolve_with(&tower(2), &[], Default::default(), &mut cache)
             .unwrap();
-        assert!(cache.goal_spans.is_none());
-        assert!(cache.take_goal_spans().is_empty());
+        assert!(cache.sink.is_none());
+        assert!(cache.detach().log.is_none());
     }
 
     #[test]

@@ -28,11 +28,12 @@
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use tc_classes::{
-    lower_qual_type, ClassEnv, LowerCtx, ReduceBudget, ResolveCache, ResolveStats, ResolveTraceLog,
+    lower_qual_type, ClassEnv, GoalLog, GoalSink, LowerCtx, ReduceBudget, ResolveCache,
+    ResolveStats,
 };
 use tc_coreir::{CoreExpr, CoreProgram, Literal, PlaceholderKind, PlaceholderTable};
 use tc_syntax::{Diagnostics, Expr, Program, Span, Stage};
-use tc_trace::{MetricsRegistry, SpanEvent};
+use tc_trace::MetricsRegistry;
 use tc_types::{Pred, Qual, Scheme, Subst, TyVar, Type, TypeErrorKind, VarGen};
 
 use crate::builtins::builtin_env;
@@ -48,21 +49,18 @@ pub struct Elaboration {
     /// Resolution counters for the whole run: goals attempted, memo
     /// table hits, dictionaries constructed (see [`ResolveStats`]).
     pub stats: ResolveStats,
-    /// Explain-trace of every instance resolution, present iff
-    /// [`ElabOptions::trace_resolution`] was set.
-    pub resolution_trace: Option<ResolveTraceLog>,
+    /// Explain trees ([`ElabOptions::trace_resolution`]) and top-level
+    /// goal spans ([`ElabOptions::goal_span_epoch`]); `None` when both
+    /// were off.
+    pub goal_log: Option<GoalLog>,
     /// Metrics accumulated by the resolver and interner, populated
-    /// (flushed from the cache) iff [`ElabOptions::collect_metrics`]
-    /// was set; otherwise off and allocation-free.
+    /// iff [`ElabOptions::collect_metrics`] was set; otherwise off and
+    /// allocation-free.
     pub metrics: MetricsRegistry,
-    /// One wall-clock span per top-level resolution goal, timed
-    /// against [`ElabOptions::goal_span_epoch`]; empty unless an epoch
-    /// was supplied.
-    pub goal_spans: Vec<SpanEvent>,
     /// The run's resolve cache, handed back so a later elaboration in
     /// the same session (the coherence law harness) can reuse the warm
-    /// memo table via [`elaborate_with_cache`]. Trace/metrics/span
-    /// sinks have already been drained into the fields above.
+    /// memo table via [`elaborate_with_cache`]. Its goal sink is
+    /// already detached into the fields above, so it observes nothing.
     pub cache: Option<ResolveCache>,
 }
 
@@ -81,7 +79,7 @@ pub struct ElabOptions {
     /// [`Elaboration::metrics`]. Off by default; when off, the
     /// instrumented paths allocate nothing.
     pub collect_metrics: bool,
-    /// When set, record one wall-clock [`SpanEvent`] per top-level
+    /// When set, record one wall-clock [`tc_trace::SpanEvent`] per top-level
     /// resolution goal relative to this epoch (pass the pipeline
     /// telemetry's epoch so the spans nest inside the `elaborate`
     /// stage span of a Chrome trace).
@@ -546,23 +544,19 @@ pub fn elaborate_with_cache(
     opts: ElabOptions,
     mut cache: ResolveCache,
 ) -> (Elaboration, Diagnostics) {
-    if opts.trace_resolution {
-        cache.enable_trace();
-    }
-    if opts.collect_metrics {
-        cache.enable_metrics();
-    }
-    if let Some(epoch) = opts.goal_span_epoch {
-        cache.enable_goal_spans(epoch);
-    }
+    cache.install(GoalSink {
+        log: GoalLog::new(opts.trace_resolution, opts.goal_span_epoch),
+        metrics: opts
+            .collect_metrics
+            .then(MetricsRegistry::new)
+            .unwrap_or_default(),
+        events: opts.events.clone(),
+    });
     if let Some(token) = opts.cancel.clone() {
         cache.set_cancel(token);
     }
     if let Some(cap) = opts.cache_capacity {
         cache.set_capacity(cap);
-    }
-    if opts.events.is_enabled() {
-        cache.set_events(opts.events.clone());
     }
     let mut inf = Infer {
         cenv,
@@ -828,7 +822,7 @@ pub fn elaborate_with_cache(
         .collect();
 
     let mut cache = inf.cache.into_inner();
-    cache.flush_metrics();
+    let sink = cache.detach();
     (
         Elaboration {
             core: CoreProgram {
@@ -837,9 +831,8 @@ pub fn elaborate_with_cache(
             },
             schemes,
             stats: cache.stats,
-            resolution_trace: cache.take_trace(),
-            metrics: std::mem::take(&mut cache.metrics),
-            goal_spans: cache.take_goal_spans(),
+            goal_log: sink.log,
+            metrics: sink.metrics,
             cache: Some(cache),
         },
         inf.diags,

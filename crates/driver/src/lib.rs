@@ -63,7 +63,7 @@ use tc_trace::{
 use tc_types::VarGen;
 
 pub use resilience::FaultPlan;
-pub use tc_classes::{ResolveStats, ResolveTraceLog};
+pub use tc_classes::{GoalLog, ResolveStats};
 pub use tc_coherence::{CoherenceConfig, Rule as CoherenceRule};
 pub use tc_coreir::ShareStats as DictShareStats;
 pub use tc_eval::{BudgetSnapshot, EvalProfile, EvalStats};
@@ -127,7 +127,7 @@ pub struct Options {
     /// when off, neither allocates anything.
     pub trace_timing: bool,
     /// Record an explain-trace of every instance resolution in
-    /// [`Elaboration::resolution_trace`] (rendered by
+    /// [`Elaboration::goal_log`] (rendered by
     /// [`Check::render_explain`]). Off by default and zero-cost when
     /// off.
     pub trace_resolution: bool,
@@ -323,7 +323,7 @@ impl Check {
     /// Render the resolution explain-trace as an indented goal tree.
     /// `None` unless [`Options::trace_resolution`] was set.
     pub fn render_explain(&self) -> Option<String> {
-        self.elab.resolution_trace.as_ref().map(|t| t.render())
+        self.elab.goal_log.as_ref().and_then(GoalLog::render)
     }
 
     /// Serialize the run as a Chrome trace-event JSON document —
@@ -687,7 +687,11 @@ fn compile(src: &str, opts: &Options, lint: bool) -> Check {
     // pipeline registry (counters add; gauges and histograms come only
     // from the elaboration side, so the merge is lossless).
     metrics.merge(&elab.metrics);
-    let goal_spans = std::mem::take(&mut elab.goal_spans);
+    let goal_spans = elab
+        .goal_log
+        .as_mut()
+        .map(|l| std::mem::take(&mut l.spans))
+        .unwrap_or_default();
 
     let stats = PipelineStats {
         resolve: elab.stats,

@@ -37,6 +37,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tc_trace::events::{FAULT_BUDGET, FAULT_DELAY, FAULT_PANIC};
 use tc_trace::{EventKind, EventScope, Stage};
 
 /// The `--faults` spelling of each stage that has a fault site, in
@@ -232,9 +233,9 @@ impl Faults {
             }
             ctx.fired.fetch_add(1, Ordering::Relaxed);
             let action_code = match rule.action {
-                FaultAction::Panic => 0,
-                FaultAction::Delay(_) => 1,
-                FaultAction::Budget => 2,
+                FaultAction::Panic => FAULT_PANIC,
+                FaultAction::Delay(_) => FAULT_DELAY,
+                FaultAction::Budget => FAULT_BUDGET,
             };
             events.record(EventKind::FaultInjected, site as u64, action_code);
             match rule.action {

@@ -29,43 +29,51 @@ pub struct SpanEvent {
     pub duration_ns: u64,
 }
 
-/// All emitted events carry this pid/tid: the trace describes one
-/// logical pipeline run, and a single track lets the viewer nest spans
-/// by time containment.
+/// Every event of one pipeline run carries this pid/tid: a single
+/// track lets the viewer nest spans by time containment.
 const TRACE_PID: u64 = 1;
 const TRACE_TID: u64 = 1;
 
-fn write_event(w: &mut JsonWriter, name: &str, cat: &str, start_ns: u64, duration_ns: u64) {
+/// Render `(pid, name, cat, start_ns, duration_ns)` events as one
+/// Chrome trace-event document, each a complete event on its pid's
+/// track.
+pub(crate) fn trace_document<'a>(
+    events: impl Iterator<Item = (u64, &'a str, &'a str, u64, u64)>,
+) -> String {
+    let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("name", name);
-    w.field_str("cat", cat);
-    w.field_str("ph", "X");
-    // The trace-event format measures in microseconds; keep the
-    // sub-microsecond part as decimals so short spans stay nonzero.
-    w.field_f64("ts", start_ns as f64 / 1e3, 3);
-    w.field_f64("dur", duration_ns as f64 / 1e3, 3);
-    w.field_u64("pid", TRACE_PID);
-    w.field_u64("tid", TRACE_TID);
+    w.begin_array_field("traceEvents");
+    for (pid, name, cat, start_ns, duration_ns) in events {
+        w.begin_object();
+        w.field_str("name", name);
+        w.field_str("cat", cat);
+        w.field_str("ph", "X");
+        // The trace-event format measures in microseconds; keep the
+        // sub-microsecond part as decimals so short spans stay nonzero.
+        w.field_f64("ts", start_ns as f64 / 1e3, 3);
+        w.field_f64("dur", duration_ns as f64 / 1e3, 3);
+        w.field_u64("pid", pid);
+        w.field_u64("tid", TRACE_TID);
+        w.end_object();
+    }
+    w.end_array();
+    w.field_str("displayTimeUnit", "ms");
     w.end_object();
+    w.finish()
 }
 
 /// Render telemetry stage spans plus any extra spans (same epoch!) as
 /// one Chrome trace-event JSON document. With telemetry disabled and
 /// no extra spans the document is valid and empty.
 pub fn chrome_trace_json(telemetry: &Telemetry, extra: &[SpanEvent]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.begin_array_field("traceEvents");
-    for s in telemetry.spans() {
-        write_event(&mut w, s.stage.name(), "stage", s.start_ns, s.duration_ns);
-    }
-    for e in extra {
-        write_event(&mut w, &e.name, e.cat, e.start_ns, e.duration_ns);
-    }
-    w.end_array();
-    w.field_str("displayTimeUnit", "ms");
-    w.end_object();
-    w.finish()
+    let stages = telemetry.spans().iter().map(|s| {
+        let name = s.stage.name();
+        (TRACE_PID, name, "stage", s.start_ns, s.duration_ns)
+    });
+    let extra = extra
+        .iter()
+        .map(|e| (TRACE_PID, e.name.as_str(), e.cat, e.start_ns, e.duration_ns));
+    trace_document(stages.chain(extra))
 }
 
 #[cfg(test)]

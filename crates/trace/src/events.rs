@@ -27,8 +27,8 @@
 //! events with [`EventLog::extract`] when the request turns out to be
 //! worth keeping.
 
-use crate::chrome::SpanEvent;
-use crate::json::JsonWriter;
+use crate::chrome::{trace_document, SpanEvent};
+use crate::json::{JsonWriter, Value};
 use crate::Stage;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -40,16 +40,54 @@ pub const OUTCOME_DEADLINE: u64 = 2;
 pub const OUTCOME_OVERLOADED: u64 = 3;
 pub const OUTCOME_BAD_REQUEST: u64 = 4;
 
+/// Memo codes carried by [`EventKind::Goal`] (`arg1`): how the
+/// resolver's memo table answered the goal.
+pub const MEMO_MISS: u64 = 0;
+pub const MEMO_HIT: u64 = 1;
+pub const MEMO_UNCACHED: u64 = 2;
+
+/// Action codes carried by [`EventKind::FaultInjected`] (`arg1`).
+pub const FAULT_PANIC: u64 = 0;
+pub const FAULT_DELAY: u64 = 1;
+pub const FAULT_BUDGET: u64 = 2;
+
+/// Spellings of a code in JSON: `.0[code]`, or `.1` for any code past
+/// the table. A name outside the table reads back as `.0.len()`, which
+/// spells `.1` again.
+#[derive(Clone, Copy)]
+struct Names(&'static [&'static str], &'static str);
+
+impl Names {
+    fn name(self, code: u64) -> &'static str {
+        self.0.get(code as usize).copied().unwrap_or(self.1)
+    }
+
+    fn code(self, name: &str) -> u64 {
+        self.0
+            .iter()
+            .position(|n| *n == name)
+            .unwrap_or(self.0.len()) as u64
+    }
+}
+
+const OUTCOMES: Names = Names(
+    &["ok", "internal", "deadline", "overloaded", "bad-request"],
+    "unknown",
+);
+const MEMOS: Names = Names(&["miss", "hit"], "uncached");
+const FAULT_ACTIONS: Names = Names(&["panic", "delay"], "budget");
+/// A stage index out of range (a malformed event, not a panic)
+/// spells "?".
+const STAGES: Names = Names(&Stage::NAMES, "?");
+
 /// The class label for a [`EventKind::RequestEnd`] outcome code.
 pub fn outcome_name(code: u64) -> &'static str {
-    match code {
-        OUTCOME_OK => "ok",
-        OUTCOME_INTERNAL => "internal",
-        OUTCOME_DEADLINE => "deadline",
-        OUTCOME_OVERLOADED => "overloaded",
-        OUTCOME_BAD_REQUEST => "bad-request",
-        _ => "unknown",
-    }
+    OUTCOMES.name(code)
+}
+
+/// The label for a [`EventKind::FaultInjected`] action code.
+pub fn fault_action_name(code: u64) -> &'static str {
+    FAULT_ACTIONS.name(code)
 }
 
 /// What a recorded event means. The two payload args are interpreted
@@ -68,7 +106,8 @@ pub enum EventKind {
     /// diagnostics produced so far.
     StageEnd,
     /// The resolver answered one goal. `arg0` = backward-chaining
-    /// depth, `arg1` = 0 memo miss / 1 memo hit / 2 not cacheable.
+    /// depth, `arg1` = [`MEMO_MISS`] / [`MEMO_HIT`] /
+    /// [`MEMO_UNCACHED`].
     Goal,
     /// The resolve cache evicted entries to stay under capacity.
     /// `arg0` = entries evicted by this trim.
@@ -80,7 +119,7 @@ pub enum EventKind {
     /// the deadline tripped.
     Cancelled,
     /// The deterministic fault plan fired. `arg0` = stage index,
-    /// `arg1` = 0 panic / 1 delay / 2 budget.
+    /// `arg1` = [`FAULT_PANIC`] / [`FAULT_DELAY`] / [`FAULT_BUDGET`].
     FaultInjected,
     /// The request was shed at admission. `arg0` = queue depth,
     /// `arg1` = the `retry_after_ms` hint returned.
@@ -88,6 +127,19 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    pub const ALL: [EventKind; 10] = [
+        EventKind::RequestStart,
+        EventKind::RequestEnd,
+        EventKind::StageStart,
+        EventKind::StageEnd,
+        EventKind::Goal,
+        EventKind::CacheEvict,
+        EventKind::EvalCheckpoint,
+        EventKind::Cancelled,
+        EventKind::FaultInjected,
+        EventKind::Shed,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             EventKind::RequestStart => "request-start",
@@ -102,12 +154,51 @@ impl EventKind {
             EventKind::Shed => "shed",
         }
     }
+
+    /// How `arg0` and `arg1` are spelled in the kind's JSON object.
+    fn fields(self) -> [Field; 2] {
+        use Field::{Named, Num, Unused};
+        match self {
+            EventKind::RequestStart => [Num("seq"), Unused],
+            EventKind::RequestEnd => [Named("outcome", OUTCOMES), Num("latency_us")],
+            EventKind::StageStart | EventKind::Cancelled => [Named("stage", STAGES), Unused],
+            EventKind::StageEnd => [Named("stage", STAGES), Num("diags")],
+            EventKind::Goal => [Num("depth"), Named("memo", MEMOS)],
+            EventKind::CacheEvict => [Num("evicted"), Unused],
+            EventKind::EvalCheckpoint => [Num("fuel_used"), Num("depth")],
+            EventKind::FaultInjected => [Named("stage", STAGES), Named("action", FAULT_ACTIONS)],
+            EventKind::Shed => [Num("queue_depth"), Num("retry_after_ms")],
+        }
+    }
 }
 
-/// The stage name for an event's stage-index payload ("?" when the
-/// index is out of range — a malformed event, not a panic).
-fn stage_name(index: u64) -> &'static str {
-    Stage::ALL.get(index as usize).map_or("?", |s| s.name())
+/// How one payload slot is spelled in an event's JSON object. Reading
+/// is lenient: a missing field reads as 0 (or, named, as unknown).
+#[derive(Clone, Copy)]
+enum Field {
+    Unused,
+    Num(&'static str),
+    Named(&'static str, Names),
+}
+
+impl Field {
+    fn write(self, w: &mut JsonWriter, arg: u64) {
+        match self {
+            Field::Unused => {}
+            Field::Num(key) => w.field_u64(key, arg),
+            Field::Named(key, names) => w.field_str(key, names.name(arg)),
+        }
+    }
+
+    fn read(self, v: &Value) -> u64 {
+        match self {
+            Field::Unused => 0,
+            Field::Num(key) => v.get(key).and_then(Value::as_u64).unwrap_or(0),
+            Field::Named(key, names) => {
+                names.code(v.get(key).and_then(Value::as_str).unwrap_or(""))
+            }
+        }
+    }
 }
 
 /// One recorded event: fixed-size, `Copy`, no heap.
@@ -130,51 +221,28 @@ impl Event {
         w.begin_object();
         w.field_u64("ts_ns", self.ts_ns);
         w.field_str("kind", self.kind.name());
-        match self.kind {
-            EventKind::RequestStart => w.field_u64("seq", self.arg0),
-            EventKind::RequestEnd => {
-                w.field_str("outcome", outcome_name(self.arg0));
-                w.field_u64("latency_us", self.arg1);
-            }
-            EventKind::StageStart => w.field_str("stage", stage_name(self.arg0)),
-            EventKind::StageEnd => {
-                w.field_str("stage", stage_name(self.arg0));
-                w.field_u64("diags", self.arg1);
-            }
-            EventKind::Goal => {
-                w.field_u64("depth", self.arg0);
-                w.field_str(
-                    "memo",
-                    match self.arg1 {
-                        0 => "miss",
-                        1 => "hit",
-                        _ => "uncached",
-                    },
-                );
-            }
-            EventKind::CacheEvict => w.field_u64("evicted", self.arg0),
-            EventKind::EvalCheckpoint => {
-                w.field_u64("fuel_used", self.arg0);
-                w.field_u64("depth", self.arg1);
-            }
-            EventKind::Cancelled => w.field_str("stage", stage_name(self.arg0)),
-            EventKind::FaultInjected => {
-                w.field_str("stage", stage_name(self.arg0));
-                w.field_str(
-                    "action",
-                    match self.arg1 {
-                        0 => "panic",
-                        1 => "delay",
-                        _ => "budget",
-                    },
-                );
-            }
-            EventKind::Shed => {
-                w.field_u64("queue_depth", self.arg0);
-                w.field_u64("retry_after_ms", self.arg1);
-            }
-        }
+        let [f0, f1] = self.kind.fields();
+        f0.write(w, self.arg0);
+        f1.write(w, self.arg1);
         w.end_object();
+    }
+
+    /// Rebuild an event of trace `trace_id` from the object
+    /// [`Event::write_json`] wrote (a dump carries the trace id on the
+    /// enclosing trace, not per event). `None` when `ts_ns` or a known
+    /// `kind` is missing.
+    pub fn from_json(trace_id: u64, v: &Value) -> Option<Event> {
+        let ts_ns = v.get("ts_ns")?.as_u64()?;
+        let name = v.get("kind")?.as_str()?;
+        let kind = EventKind::ALL.into_iter().find(|k| k.name() == name)?;
+        let [f0, f1] = kind.fields();
+        Some(Event {
+            trace_id,
+            ts_ns,
+            kind,
+            arg0: f0.read(v),
+            arg1: f1.read(v),
+        })
     }
 }
 
@@ -388,7 +456,7 @@ pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
                 if let Some(pos) = open_stages.iter().rposition(|&(s, _)| s == e.arg0) {
                     let (s, start) = open_stages.remove(pos);
                     spans.push(SpanEvent {
-                        name: stage_name(s).to_string(),
+                        name: STAGES.name(s).to_string(),
                         cat: "stage",
                         start_ns: start,
                         duration_ns: ts.saturating_sub(start),
@@ -408,7 +476,7 @@ pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
     let end = last_ts.saturating_sub(t0);
     for (s, start) in open_stages {
         spans.push(SpanEvent {
-            name: format!("{} (unfinished)", stage_name(s)),
+            name: format!("{} (unfinished)", STAGES.name(s)),
             cat: "stage",
             start_ns: start,
             duration_ns: end.saturating_sub(start),
@@ -430,26 +498,11 @@ pub fn chrome_spans(events: &[Event]) -> Vec<SpanEvent> {
 /// one `pid` per trace so the viewer shows each request on its own
 /// track. Used by `report --chrome`.
 pub fn traces_chrome_json(traces: &[(u64, Vec<SpanEvent>)]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.begin_array_field("traceEvents");
-    for (trace_id, spans) in traces {
-        for s in spans {
-            w.begin_object();
-            w.field_str("name", &s.name);
-            w.field_str("cat", s.cat);
-            w.field_str("ph", "X");
-            w.field_f64("ts", s.start_ns as f64 / 1e3, 3);
-            w.field_f64("dur", s.duration_ns as f64 / 1e3, 3);
-            w.field_u64("pid", *trace_id);
-            w.field_u64("tid", 1);
-            w.end_object();
-        }
-    }
-    w.end_array();
-    w.field_str("displayTimeUnit", "ms");
-    w.end_object();
-    w.finish()
+    trace_document(traces.iter().flat_map(|(pid, spans)| {
+        spans
+            .iter()
+            .map(|s| (*pid, s.name.as_str(), s.cat, s.start_ns, s.duration_ns))
+    }))
 }
 
 #[cfg(test)]
@@ -540,6 +593,48 @@ mod tests {
         let out = w.finish();
         assert!(out.contains("\"stage\": \"elaborate\""), "{out}");
         assert!(out.contains("\"action\": \"panic\""), "{out}");
+    }
+
+    fn round_trip(ev: Event) {
+        let mut w = JsonWriter::new();
+        ev.write_json(&mut w);
+        let text = w.finish();
+        let v = json::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(Event::from_json(ev.trace_id, &v), Some(ev), "{text}");
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_json() {
+        let event = |kind, arg0, arg1| Event {
+            trace_id: 9,
+            ts_ns: 100 + arg0,
+            kind,
+            arg0,
+            arg1,
+        };
+        for kind in EventKind::ALL {
+            let (arg0, arg1) = match kind {
+                EventKind::RequestStart | EventKind::CacheEvict => (41, 0),
+                EventKind::RequestEnd => (OUTCOME_BAD_REQUEST, 1234),
+                EventKind::StageStart | EventKind::Cancelled => (Stage::Lint as u64, 0),
+                EventKind::StageEnd => (Stage::Eval as u64, 3),
+                EventKind::Goal => (7, MEMO_HIT),
+                EventKind::FaultInjected => (Stage::Elaborate as u64, FAULT_DELAY),
+                EventKind::EvalCheckpoint | EventKind::Shed => (41, 52),
+            };
+            round_trip(event(kind, arg0, arg1));
+        }
+        for memo in [MEMO_MISS, MEMO_HIT, MEMO_UNCACHED] {
+            round_trip(event(EventKind::Goal, 2, memo));
+        }
+        for action in [FAULT_PANIC, FAULT_DELAY, FAULT_BUDGET] {
+            round_trip(event(EventKind::FaultInjected, 4, action));
+        }
+        for outcome in OUTCOME_OK..=OUTCOME_BAD_REQUEST {
+            round_trip(event(EventKind::RequestEnd, outcome, 10));
+        }
+        let bogus = json::parse("{\"ts_ns\": 1, \"kind\": \"nope\"}").unwrap();
+        assert_eq!(Event::from_json(1, &bogus), None);
     }
 
     #[test]

@@ -83,17 +83,20 @@ impl Stage {
         Stage::Eval,
     ];
 
+    /// Every stage's name, in [`Stage::ALL`] order.
+    pub(crate) const NAMES: [&'static str; 8] = [
+        "lex",
+        "parse",
+        "class-env",
+        "coherence",
+        "elaborate",
+        "share",
+        "lint",
+        "eval",
+    ];
+
     pub fn name(self) -> &'static str {
-        match self {
-            Stage::Lex => "lex",
-            Stage::Parse => "parse",
-            Stage::ClassEnv => "class-env",
-            Stage::Coherence => "coherence",
-            Stage::Elaborate => "elaborate",
-            Stage::Share => "share",
-            Stage::Lint => "lint",
-            Stage::Eval => "eval",
-        }
+        Stage::NAMES[self as usize]
     }
 }
 

@@ -925,85 +925,6 @@ struct ReportTrace {
     events: Vec<typeclasses::Event>,
 }
 
-/// The [`typeclasses::Stage`] index for a stage name in a dumped
-/// event (0 when unrecognized — a malformed line, not a crash).
-fn stage_index(name: &str) -> u64 {
-    typeclasses::Stage::ALL
-        .iter()
-        .position(|s| s.name() == name)
-        .unwrap_or(0) as u64
-}
-
-/// Rebuild one in-memory [`typeclasses::Event`] from its dumped JSON
-/// object, inverting the self-describing field names back into the
-/// static `arg0`/`arg1` encoding.
-fn event_from_json(
-    trace_id: u64,
-    v: &typeclasses::trace::json::Value,
-) -> Option<typeclasses::Event> {
-    use typeclasses::EventKind;
-    let ts_ns = v.get("ts_ns")?.as_u64()?;
-    let kind = v.get("kind")?.as_str()?.to_string();
-    let num = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-    let txt = |k: &str| v.get(k).and_then(|x| x.as_str()).unwrap_or("").to_string();
-    let (kind, arg0, arg1) = match kind.as_str() {
-        "request-start" => (EventKind::RequestStart, num("seq"), 0),
-        "request-end" => (
-            EventKind::RequestEnd,
-            outcome_code(&txt("outcome")),
-            num("latency_us"),
-        ),
-        "stage-start" => (EventKind::StageStart, stage_index(&txt("stage")), 0),
-        "stage-end" => (
-            EventKind::StageEnd,
-            stage_index(&txt("stage")),
-            num("diags"),
-        ),
-        "goal" => (
-            EventKind::Goal,
-            num("depth"),
-            match txt("memo").as_str() {
-                "miss" => 0,
-                "hit" => 1,
-                _ => 2,
-            },
-        ),
-        "cache-evict" => (EventKind::CacheEvict, num("evicted"), 0),
-        "eval-checkpoint" => (EventKind::EvalCheckpoint, num("fuel_used"), num("depth")),
-        "cancelled" => (EventKind::Cancelled, stage_index(&txt("stage")), 0),
-        "fault-injected" => (
-            EventKind::FaultInjected,
-            stage_index(&txt("stage")),
-            match txt("action").as_str() {
-                "panic" => 0,
-                "delay" => 1,
-                _ => 2,
-            },
-        ),
-        "shed" => (EventKind::Shed, num("queue_depth"), num("retry_after_ms")),
-        _ => return None,
-    };
-    Some(typeclasses::Event {
-        trace_id,
-        ts_ns,
-        kind,
-        arg0,
-        arg1,
-    })
-}
-
-/// The outcome-class code for a dumped outcome name.
-fn outcome_code(name: &str) -> u64 {
-    use typeclasses::trace::events as ev;
-    match name {
-        "internal" => ev::OUTCOME_INTERNAL,
-        "deadline" => ev::OUTCOME_DEADLINE,
-        "overloaded" => ev::OUTCOME_OVERLOADED,
-        "bad-request" => ev::OUTCOME_BAD_REQUEST,
-        _ => ev::OUTCOME_OK,
-    }
-}
-
 /// Exact nearest-rank quantile over a sorted sample.
 fn pct(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -1018,7 +939,7 @@ fn pct(sorted: &[u64], q: f64) -> u64 {
 /// latency / error / cache-behavior report, optionally also writing
 /// the traces as a Chrome trace-event document.
 fn report_main(args: &[String]) -> ExitCode {
-    use typeclasses::trace::events::{chrome_spans, traces_chrome_json};
+    use typeclasses::trace::events::{self as ev, chrome_spans, traces_chrome_json};
     use typeclasses::trace::json;
     use typeclasses::EventKind;
 
@@ -1094,7 +1015,7 @@ fn report_main(args: &[String]) -> ExitCode {
                 .and_then(|e| e.as_array())
                 .map(|evs| {
                     evs.iter()
-                        .filter_map(|e| event_from_json(trace_id, e))
+                        .filter_map(|e| typeclasses::Event::from_json(trace_id, e))
                         .collect()
                 })
                 .unwrap_or_default();
@@ -1192,8 +1113,8 @@ fn report_main(args: &[String]) -> ExitCode {
                 EventKind::Goal => {
                     goals += 1;
                     match e.arg1 {
-                        0 => misses += 1,
-                        1 => hits += 1,
+                        ev::MEMO_MISS => misses += 1,
+                        ev::MEMO_HIT => hits += 1,
                         _ => {}
                     }
                 }
@@ -1202,12 +1123,7 @@ fn report_main(args: &[String]) -> ExitCode {
                     evicted_entries += e.arg0;
                 }
                 EventKind::FaultInjected => {
-                    let action = match e.arg1 {
-                        0 => "panic",
-                        1 => "delay",
-                        _ => "budget",
-                    };
-                    *faults.entry(action).or_default() += 1;
+                    *faults.entry(ev::fault_action_name(e.arg1)).or_default() += 1;
                 }
                 EventKind::Cancelled => {
                     let stage = typeclasses::Stage::ALL

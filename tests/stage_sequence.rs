@@ -297,6 +297,65 @@ fn parse_panic_fault_sequence() {
     );
 }
 
+/// The stage of every `goal` event in `log`: the stage whose
+/// `stage-start` is the latest boundary before it, or `"outside"` when
+/// the latest boundary is a `stage-end`.
+fn goal_stages(log: &EventLog) -> Vec<String> {
+    let mut open: Option<u64> = None;
+    let mut out = Vec::new();
+    for e in log.extract(1) {
+        match e.kind {
+            EventKind::StageStart => open = Some(e.arg0),
+            EventKind::StageEnd => open = None,
+            EventKind::Goal => out.push(open.map_or("outside".to_string(), |s| {
+                Stage::ALL[s as usize].name().to_string()
+            })),
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn goal_events_stay_inside_elaborate() {
+    // The law harness resolves its own goals after `lint`; none of
+    // them may be recorded outside a stage.
+    const LAWS: &str = "data T = A | B deriving (Eq, Ord);\nmain = eq A B;";
+    type Run = fn(&Options) -> usize;
+    let runs: [(&str, Run); 3] = [
+        ("run", |o| {
+            run_source(MEMBER_MAIN, o).check.stats.resolve.goals as usize
+        }),
+        ("lint", |o| {
+            lint_source("f = \\x -> 1;\nmain = f 2;", o)
+                .stats
+                .resolve
+                .goals as usize
+        }),
+        ("check_laws", |o| {
+            let opts = Options {
+                check_laws: true,
+                ..o.clone()
+            };
+            run_source(LAWS, &opts).check.stats.resolve.goals as usize
+        }),
+    ];
+    for (name, run) in runs {
+        let log = EventLog::with_capacity(RING);
+        let goals = run(&traced(&log));
+        let stages = goal_stages(&log);
+        assert!(!stages.is_empty(), "{name}: no goal events recorded");
+        let stray = stages.iter().filter(|s| *s != "elaborate").count();
+        assert_eq!(
+            stray,
+            0,
+            "{name}: {stray} of {} goal events fall outside `elaborate` \
+             (stats count {goals} goals): {stages:?}",
+            stages.len()
+        );
+    }
+}
+
 #[test]
 fn pre_expired_deadline_sequence() {
     let log = EventLog::with_capacity(RING);
